@@ -14,15 +14,14 @@ func energyBaselineFile(name string) string {
 	return "BENCH_energy_" + name + ".json"
 }
 
-// cmdEnergy runs the metered energy sweep — every registered case
-// executes its workload with the zero-allocation metering probe on the
-// engine step path and a classic comparator priced on the same run —
-// and compares each spaa-energy/v1 section against its committed
-// BENCH_energy_<case>.json baseline. Every quantity in the section is
-// an integral function of the seed and the Table 3 tariffs, so the
-// default tolerance is exact; -gate turns any drift into a nonzero
-// exit, and -tariff-scale is the CI negative test proving the gate
-// trips when the tariff figures move.
+// cmdEnergy runs the energy sweep — every registered case executes its
+// workload, prices it from the run's snn.Stats, and prices a classic
+// comparator on the same instance — and compares each spaa-energy/v1
+// section against its committed BENCH_energy_<case>.json baseline.
+// Every quantity in the section is an integral function of the seed and
+// the Table 3 tariffs, so the default tolerance is exact; -gate turns
+// any drift into a nonzero exit, and -tariff-scale is the CI negative
+// test proving the gate trips when the tariff figures move.
 func cmdEnergy(args []string) error {
 	fs := flag.NewFlagSet("energy", flag.ExitOnError)
 	caseList := fs.String("cases", "", "comma-separated case names (default: all registered cases)")
@@ -50,6 +49,9 @@ func cmdEnergy(args []string) error {
 		cases = harness.EnergyCases
 	}
 
+	if err := makeOutputDirs(*writeBaseline, *out); err != nil {
+		return err
+	}
 	opts := harness.EnergyOptions{Deterministic: *deterministic, TariffScaleMilli: *tariffScale}
 	var deltas []*harness.EnergyDelta
 	for _, c := range cases {

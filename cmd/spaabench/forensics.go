@@ -40,6 +40,9 @@ func cmdWhy(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkGnm(*n, *m, *u); err != nil {
+		return err
+	}
 	opt := telemetry.WalkOptions{MaxDepth: *depth, MaxFan: *fan}
 
 	if *in != "" {

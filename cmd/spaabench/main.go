@@ -24,7 +24,7 @@
 //	spaabench serve [-addr 127.0.0.1:9090]        # live metrics daemon: /metrics, dashboard, SSE
 //	spaabench soak [-workers 8] [-iters 16] [-addr URL]  # concurrent load driver
 //	spaabench perf [-tier small] [-gate]          # benchmark tier vs BENCH_perf_*.json baselines
-//	spaabench energy [-gate]                      # metered energy sweep vs BENCH_energy_*.json baselines
+//	spaabench energy [-gate]                      # energy sweep vs BENCH_energy_*.json baselines
 //	spaabench trace [-gate]                       # traced chaos replay: ASCII waterfalls + determinism/coverage gate
 //
 // The sssp, table1, flow, congest, fleet, and timeline subcommands also
@@ -40,9 +40,10 @@
 // manifests to a serve daemon; `perf` runs the named benchmark tier and
 // gates counter-derived throughput metrics (exactly) and wall time
 // (within a band) against the committed BENCH_perf_*.json baselines;
-// `energy` meters per-spike/per-delivery/per-idle-step energy across
-// every Table 3 platform alongside a classic comparator on the same
-// run, gated against the committed BENCH_energy_*.json baselines.
+// `energy` prices per-spike/per-delivery/per-idle-step energy across
+// every Table 3 platform from the run's snn.Stats, alongside a classic
+// comparator on the same run, gated against the committed
+// BENCH_energy_*.json baselines.
 // See docs/OBSERVABILITY.md.
 package main
 
@@ -172,6 +173,23 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// checkGnm validates the -n/-m/-u flags of the subcommands that
+// generate a graph.RandomGnm instance, so a bad size exits with an error
+// instead of a generator panic.
+func checkGnm(n, m int, u int64) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n must be >= 1, got %d", n)
+	case m < 0:
+		return fmt.Errorf("-m must be >= 0, got %d", m)
+	case n == 1 && m > 0:
+		return fmt.Errorf("-m must be 0 when -n is 1 (no self-loops), got %d", m)
+	case u < 1:
+		return fmt.Errorf("-u must be >= 1, got %d", u)
+	}
+	return nil
+}
+
 func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	sizes := fs.String("sizes", "64,128,256,512", "comma-separated vertex counts")
@@ -246,6 +264,9 @@ func cmdSSSP(args []string) error {
 	in := fs.String("in", "", "read graph from edge-list file instead of generating")
 	o := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkGnm(*n, *m, *u); err != nil {
 		return err
 	}
 	if err := o.begin("sssp"); err != nil {
@@ -374,6 +395,9 @@ func cmdRaster(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkGnm(*n, *m, *u); err != nil {
+		return err
+	}
 	g := graph.RandomGnm(*n, *m, graph.Uniform(*u), *seed, true)
 	fmt.Print(harness.SSSPRaster(g, *src))
 	return nil
@@ -388,6 +412,9 @@ func cmdTimeline(args []string) error {
 	src := fs.Int("src", 0, "source vertex")
 	o := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkGnm(*n, *m, *u); err != nil {
 		return err
 	}
 	if err := o.begin("timeline"); err != nil {

@@ -55,6 +55,9 @@ func cmdPerf(args []string) error {
 		return fmt.Errorf("no perf cases in tier %q", *tier)
 	}
 
+	if err := makeOutputDirs(*writeBaseline, *out); err != nil {
+		return err
+	}
 	opts := harness.PerfOptions{Deterministic: *deterministic, SlowdownMS: *slowdown}
 	var deltas []*harness.PerfDelta
 	for _, c := range cases {
@@ -102,6 +105,20 @@ func cmdPerf(args []string) error {
 	}
 	if *gate && len(failed) > 0 {
 		return fmt.Errorf("perf gate failed: %s", strings.Join(failed, ", "))
+	}
+	return nil
+}
+
+// makeOutputDirs creates the -write-baseline and -out directories (and
+// their parents) up front, so a fresh path works without a manual mkdir.
+func makeOutputDirs(dirs ...string) error {
+	for _, d := range dirs {
+		if d == "" {
+			continue
+		}
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return err
+		}
 	}
 	return nil
 }

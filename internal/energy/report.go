@@ -17,15 +17,15 @@ type PlatformEnergy struct {
 	// baseline diff distinguishes "the workload changed" from "the
 	// tariff changed".
 	DeliveryMilliPJ int64 `json:"delivery_millipj"`
-	// SpikingMilliPJ is the metered run priced at this platform's
-	// tariff.
+	// SpikingMilliPJ is the run's counted events priced at this
+	// platform's tariff.
 	SpikingMilliPJ int64 `json:"spiking_millipj"`
 	// AdvantageMilli is classic/spiking × 1000, integral (8_139 means
 	// 8.139x). Zero when the platform publishes no tariff.
 	AdvantageMilli int64 `json:"advantage_milli"`
 }
 
-// PhaseEnergy attributes one phase of a metered run — "build" (circuit
+// PhaseEnergy attributes one phase of a priced run — "build" (circuit
 // loading / synapse programming), "wavefront" (spikes and deliveries of
 // the event-driven sweep), "idle" (silence-skipped steps) — priced at
 // the reference platform's tariff. The three MilliPJ values sum to the
@@ -52,9 +52,9 @@ const (
 type Report struct {
 	Schema string `json:"schema"`
 
-	// Metered event totals (from a Meter / snn.Stats). LoadEvents are
-	// the build-phase synapse-programming charges (AddLoadEvents), kept
-	// apart from wavefront Deliveries.
+	// Counted event totals (the run's snn.Stats). LoadEvents are the
+	// build-phase synapse-programming events (the netlist's load
+	// charge), kept apart from wavefront Deliveries.
 	Spikes     int64 `json:"spikes"`
 	Deliveries int64 `json:"deliveries"`
 	Steps      int64 `json:"steps"`
@@ -65,7 +65,7 @@ type Report struct {
 	// build/wavefront/idle attributions (see PhaseEnergy).
 	Phases []PhaseEnergy `json:"phases"`
 
-	// Classic comparator: operation count (from an OpMeter), the CPU
+	// Classic comparator: operation count (the classic run's ops), the CPU
 	// per-op tariff it was priced at, and the resulting total.
 	ClassicOps       int64 `json:"classic_ops"`
 	ClassicOpMilliPJ int64 `json:"classic_op_millipj"`
@@ -75,10 +75,12 @@ type Report struct {
 	Platforms []PlatformEnergy `json:"platforms"`
 }
 
-// NewReport prices a metered run under the given tariffs: the spiking
-// side at every tariff in ts (build-phase load events charged at each
-// platform's delivery tariff alongside the wavefront), the classic side
-// at the CPU op tariff. Pass Tariffs() for the Table 3 platform set.
+// NewReport prices a run's counted events under the given tariffs: the
+// spiking side at every tariff in ts (build-phase load events charged at
+// each platform's delivery tariff alongside the wavefront), the classic
+// side at the CPU op tariff. Pass Tariffs() for the Table 3 platform
+// set. The spiking counts are the run's snn.Stats (idle steps are its
+// SilentStepsSkipped), read after the run.
 func NewReport(spikes, deliveries, loadEvents, idleSteps, steps, classicOps int64, ts []Tariff) *Report {
 	r := &Report{
 		Schema:           Schema,
@@ -121,12 +123,6 @@ func referenceIn(ts []Tariff) Tariff {
 		}
 	}
 	return ReferenceTariff()
-}
-
-// ReportFromMeters builds the report from live instruments (the usual
-// call site after a metered run).
-func ReportFromMeters(m *Meter, ops *OpMeter, ts []Tariff) *Report {
-	return NewReport(m.Spikes(), m.Deliveries(), m.LoadEvents(), m.IdleSteps(), m.Steps(), ops.Ops(), ts)
 }
 
 // PlatformRow finds a platform's row (nil when absent).

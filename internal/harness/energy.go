@@ -13,15 +13,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Energy benchmark tier: named, seeded workloads metered live by an
-// energy.Meter on the engine's step-probe fabric, with the classic
-// comparator's operations counted by an energy.OpMeter on the same run.
-// Each case's manifest carries the spaa-energy/v1 section — integral
+// Energy benchmark tier: named, seeded workloads priced after the run
+// from the engine's own snn.Stats, with the classic comparator's
+// operation count taken on the same seeded instance. Each case's
+// manifest carries the spaa-energy/v1 section — integral
 // millipicojoules, wall-free by construction — so the committed
 // BENCH_energy_<name>.json baselines are byte-reproducible and the
 // `spaabench energy -gate` comparison is exact by default.
 
-// EnergyCase names one metered workload of the energy sweep.
+// EnergyCase names one workload of the energy sweep.
 type EnergyCase struct {
 	// Name keys the case and its BENCH_energy_<Name>.json baseline.
 	Name string
@@ -37,7 +37,7 @@ type EnergyCase struct {
 	K       int
 }
 
-// EnergyCases is the registry of energy workloads. Every metered
+// EnergyCases is the registry of energy workloads. Every priced
 // quantity is a function of (Kind, N, M, U, Seed, K) and the Table 3
 // tariffs alone, so the committed baselines hold across machines with
 // zero tolerance.
@@ -67,10 +67,6 @@ type EnergyOptions struct {
 	// (0 or 1000 = Table 3 verbatim). CI's negative test perturbs it to
 	// prove the gate actually trips on tariff drift.
 	TariffScaleMilli int64
-	// Probes, when non-nil, observes the run live (pass a
-	// metrics.Bridge). If it implements ObserveEnergy(*energy.Report) /
-	// ObserveRunStats(int64, int64), the finished report folds through.
-	Probes telemetry.ProbeSink
 }
 
 // tariffs returns the platform tariff set under the option's scale.
@@ -86,35 +82,11 @@ func (o EnergyOptions) tariffs() []energy.Tariff {
 	return ts
 }
 
-// referenceTariff picks the reference platform's tariff out of ts.
-func referenceTariff(ts []energy.Tariff) energy.Tariff {
-	for _, t := range ts {
-		if t.Platform == energy.ReferencePlatform {
-			return t
-		}
-	}
-	return energy.ReferenceTariff()
-}
-
-// energyStepSink fans one step-probe stream into the zero-alloc meter
-// and an optional live sink without the engine paying for two probes.
-type energyStepSink struct {
-	m    *energy.Meter
-	sink telemetry.ProbeSink
-}
-
-//lint:hotpath called once per simulated step
-func (p *energyStepSink) OnStep(t int64, spikes, deliveries, active, queueDepth int) {
-	p.m.OnStep(t, spikes, deliveries, active, queueDepth)
-	if p.sink != nil {
-		p.sink.OnStep(t, spikes, deliveries, active, queueDepth)
-	}
-}
-
 // RunEnergyCase executes one energy case and returns its manifest with
-// the spaa-energy/v1 section populated: the spiking side metered live
-// on the step-probe fabric, the classic comparator's operations counted
-// on the same seeded instance, both priced under the option's tariffs.
+// the spaa-energy/v1 section populated: the spiking side priced from
+// the run's snn.Stats plus the netlist's load events, the classic
+// comparator's operations counted on the same seeded instance, both
+// under the option's tariffs.
 func RunEnergyCase(c EnergyCase, opts EnergyOptions) (*telemetry.Manifest, error) {
 	man := telemetry.NewManifest("spaabench", "energy:"+c.Name)
 	man.SetConfig("kind", c.Kind)
@@ -124,102 +96,85 @@ func RunEnergyCase(c EnergyCase, opts EnergyOptions) (*telemetry.Manifest, error
 	//lint:wallclock manifest wall time is zeroed downstream under -deterministic
 	start := time.Now()
 
-	ts := opts.tariffs()
-	meter := energy.NewMeter(referenceTariff(ts))
-	ops := energy.NewOpMeter()
-	var probe snn.StepProbe = meter
-	if opts.Probes != nil {
-		probe = &energyStepSink{m: meter, sink: opts.Probes}
-	}
-
 	var stats snn.Stats
-	haveStats := true
+	var loadEvents, idleSteps, classicOps int64
 	switch c.Kind {
 	case "sssp":
 		g := graph.RandomGnm(c.N, c.M, graph.Uniform(c.U), c.Seed, true)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: c.Seed, Kind: c.Kind}
-		res, err := core.SSSP(g, 0, -1, probe)
+		res, err := core.SSSP(g, 0, -1)
 		if err != nil {
 			return nil, fmt.Errorf("harness: energy case %s: %w", c.Name, err)
 		}
 		stats = res.Stats
+		idleSteps = stats.SilentStepsSkipped
+		man.Stats = telemetry.StatsFrom(stats)
 		// Build phase: the O(m+n) graph-load charge, attributed apart
-		// from the wavefront deliveries the probe metered live.
-		meter.AddLoadEvents(res.LoadTime)
-		ops.AddOps(classic.Dijkstra(g, 0).Ops)
+		// from the wavefront deliveries.
+		loadEvents = res.LoadTime
+		classicOps = classic.Dijkstra(g, 0).Ops
 		man.Counters = map[string]int64{"dist_checksum": distChecksum(res.Dist)}
 	case "khop":
 		g := graph.RandomGnm(c.N, c.M, graph.Uniform(c.U), c.Seed, true)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: c.Seed, Kind: c.Kind}
 		ct := core.CompileKHopTTL(g, 0, c.K)
-		ct.Net.SetProbe(probe)
 		dist, st := ct.Run()
 		stats = st
+		idleSteps = stats.SilentStepsSkipped
+		man.Stats = telemetry.StatsFrom(stats)
 		// Build phase: Theorem 4.2's O(m log k) circuit-loading charge
 		// (m·λ synapse programs) for the compiled TTL machine.
-		meter.AddLoadEvents(int64(g.M()) * int64(ct.Lambda))
-		ops.AddOps(classic.BellmanFordKHop(g, 0, c.K, false).Relaxations)
+		loadEvents = int64(g.M()) * int64(ct.Lambda)
+		classicOps = classic.BellmanFordKHop(g, 0, c.K, false).Relaxations
 		man.Counters = map[string]int64{"dist_checksum": distChecksum(dist)}
 	case "table1":
-		// The Table 1 sweep's engine-level SSSP run is metered through
-		// the config's step probe; the conventional side of the same
-		// regime (Dijkstra op counts, movement ignored) feeds the op
-		// meter. Per-run snn.Stats are internal to the sweep, so the
-		// idle-step fold is skipped for this kind.
-		haveStats = false
-		cfg := Table1Config{
+		// The Table 1 sweep's engine-level SSSP runs are priced from the
+		// stats the report carries; the conventional side of the same
+		// regime (Dijkstra op counts, movement ignored) is the classic
+		// comparator. This kind charges no idle steps and records no
+		// manifest stats, as its committed baseline was written.
+		rep := RunTable1(Table1Config{
 			Sizes: []int{c.N}, Density: 4, U: c.U, K: c.K, C: 4,
-			Seed: c.Seed, SkipMovement: true, StepProbe: probe,
+			Seed: c.Seed, SkipMovement: true,
+		})
+		for _, st := range rep.SSSPStats {
+			stats.Spikes += st.Spikes
+			stats.Deliveries += st.Deliveries
+			stats.Steps += st.Steps
 		}
-		rep := RunTable1(cfg)
 		for _, row := range rep.Rows {
 			if !row.WithMovement && row.Problem == "SSSP" && row.Regime == "pseudopolynomial" {
-				ops.AddOps(int64(row.Conventional))
+				classicOps += int64(row.Conventional)
 			}
 		}
 	default:
 		return nil, fmt.Errorf("harness: unknown energy case kind %q", c.Kind)
 	}
 
-	if haveStats {
-		// The engine's silence optimization means the probe never saw the
-		// idle steps; fold them in so the idle tariff can charge them.
-		meter.AddIdleSteps(stats.SilentStepsSkipped)
-		man.Stats = telemetry.StatsFrom(stats)
-	}
-	man.Energy = energy.ReportFromMeters(meter, ops, ts)
+	man.Energy = energy.NewReport(stats.Spikes, stats.Deliveries, loadEvents, idleSteps,
+		stats.Steps, classicOps, opts.tariffs())
 	//lint:wallclock manifest wall time is zeroed downstream under -deterministic
 	man.Finalize(start, time.Since(start), telemetry.ManifestOptions{Deterministic: opts.Deterministic})
-
-	if o, ok := opts.Probes.(interface{ ObserveEnergy(*energy.Report) }); ok {
-		o.ObserveEnergy(man.Energy)
-	}
-	if o, ok := opts.Probes.(interface{ ObserveRunStats(int64, int64) }); ok && haveStats {
-		o.ObserveRunStats(stats.MaxQueueDepth, stats.SilentStepsSkipped)
-	}
 	return man, nil
 }
 
-// EnergySection renders the experiment report's E20 energy block from a
-// metered run: spiking SSSP on a seeded Gnm instance with an
-// energy.Meter attached to the step-probe fabric, Dijkstra's operations
-// counted on the same instance, and every Table 3 platform rendered —
-// platforms without a published pJ/spike figure as "-", never an
-// advantage of 0 divided through a table row.
+// EnergySection renders the experiment report's E20 energy block from
+// one run: spiking SSSP on a seeded Gnm instance priced from its
+// snn.Stats after the run, Dijkstra's operations counted on the same
+// instance, and every Table 3 platform rendered — platforms without a
+// published pJ/spike figure as "-", never an advantage of 0 divided
+// through a table row.
 func EnergySection(seed int64) string {
 	g := graph.RandomGnm(256, 1024, graph.Uniform(8), seed, true)
-	meter := energy.NewMeter(energy.ReferenceTariff())
-	spk := mustSSSP(g, 0, -1, meter)
-	meter.AddIdleSteps(spk.Stats.SilentStepsSkipped)
-	meter.AddLoadEvents(spk.LoadTime)
-	ops := energy.NewOpMeter()
-	ops.AddOps(classic.Dijkstra(g, 0).Ops)
-	r := energy.ReportFromMeters(meter, ops, energy.Tariffs())
+	spk := mustSSSP(g, 0, -1)
+	st := spk.Stats
+	r := energy.NewReport(st.Spikes, st.Deliveries, spk.LoadTime, st.SilentStepsSkipped,
+		st.Steps, classic.Dijkstra(g, 0).Ops, energy.Tariffs())
 
 	var b strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-	w("Workload: spiking SSSP on n=%d, m=%d, metered live on the step-probe\n", g.N(), g.M())
-	w("fabric (%d spikes, %d deliveries, %d load events, %d idle steps); each\n",
+	w("Workload: spiking SSSP on n=%d, m=%d, priced after the run from its\n", g.N(), g.M())
+	w("snn.Stats (%d spikes, %d deliveries, %d load events, %d idle steps); each\n",
 		r.Spikes, r.Deliveries, r.LoadEvents, r.IdleSteps)
 	w("synaptic event charged at the platform's Table 3 pJ/spike, each of Dijkstra's %d\n", r.ClassicOps)
 	w("heap/relax operations charged one CPU cycle at the Table 3 CPU row's\n")

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/perf"
-	"repro/internal/snn"
 	"repro/internal/telemetry"
 )
 
@@ -104,25 +103,6 @@ type PerfOptions struct {
 	// SlowdownMS injects an artificial sleep into the "run" phase — the
 	// CI negative test uses it to prove the wall band actually trips.
 	SlowdownMS int
-	// Probes, when non-nil, observes the run live (pass a
-	// metrics.Bridge). If it implements ObservePerf(*perf.Report) /
-	// ObserveRunStats(int64, int64), the finished report folds through.
-	Probes telemetry.ProbeSink
-}
-
-// perfStepSink fans one step-probe stream into the zero-alloc counters
-// and an optional live sink without the engine paying for two probes.
-type perfStepSink struct {
-	c    *perf.Counters
-	sink telemetry.ProbeSink
-}
-
-//lint:hotpath called once per simulated step
-func (p *perfStepSink) OnStep(t int64, spikes, deliveries, active, queueDepth int) {
-	p.c.OnStep(t, spikes, deliveries, active, queueDepth)
-	if p.sink != nil {
-		p.sink.OnStep(t, spikes, deliveries, active, queueDepth)
-	}
 }
 
 // RunPerfCase executes one benchmark case and returns its manifest with
@@ -143,12 +123,7 @@ func RunPerfCase(c PerfCase, opts PerfOptions) (*telemetry.Manifest, error) {
 	net := core.BuildSSSP(g)
 
 	tracker.Phase("run")
-	counters := &perf.Counters{}
-	var probe snn.StepProbe = counters
-	if opts.Probes != nil {
-		probe = &perfStepSink{c: counters, sink: opts.Probes}
-	}
-	res, err := net.Run(0, -1, probe)
+	res, err := net.Run(0, -1)
 	if err != nil {
 		return nil, fmt.Errorf("harness: perf case %s: %w", c.Name, err)
 	}
@@ -176,13 +151,6 @@ func RunPerfCase(c PerfCase, opts PerfOptions) (*telemetry.Manifest, error) {
 	man.Perf = tracker.Report(opts.Deterministic)
 	//lint:wallclock manifest wall time is zeroed downstream under -deterministic
 	man.Finalize(start, time.Since(start), telemetry.ManifestOptions{Deterministic: opts.Deterministic})
-
-	if o, ok := opts.Probes.(interface{ ObservePerf(*perf.Report) }); ok {
-		o.ObservePerf(man.Perf)
-	}
-	if o, ok := opts.Probes.(interface{ ObserveRunStats(int64, int64) }); ok {
-		o.ObserveRunStats(res.Stats.MaxQueueDepth, res.Stats.SilentStepsSkipped)
-	}
 	return man, nil
 }
 

@@ -240,18 +240,17 @@ func soakRunnable(name string) bool {
 // sink, manifest submitted. A perf.Tracker brackets the run, so every
 // soak manifest carries a spaa-perf/v1 section (build / run / report
 // phases, throughput rates, alloc deltas — all zeroed under
-// Deterministic); the engine workloads (sssp, fleet) additionally meter
-// energy on the same run, so their manifests carry a spaa-energy/v1
-// section with a Dijkstra comparator priced on the same instance.
+// Deterministic); the engine workloads (sssp, fleet) additionally price
+// energy from the run's snn.Stats, so their manifests carry a
+// spaa-energy/v1 section with a Dijkstra comparator counted on the same
+// instance.
 func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifest, *snn.Stats, error) {
 	rec := telemetry.NewRecorder()
 	sink := telemetry.Tee(rec, cfg.Probes)
 	man := telemetry.NewManifest("spaabench", workload)
 	man.SetConfig("soak_seed", runSeed)
 	tracker := perf.NewTracker()
-	meter := energy.NewMeter(energy.ReferenceTariff())
-	engineProbe := &energyStepSink{m: meter, sink: sink}
-	ops := energy.NewOpMeter()
+	var classicOps int64
 	//lint:wallclock per-run wall time feeds the manifest's wall_ms field by design
 	start := time.Now()
 
@@ -263,13 +262,13 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		g := graph.RandomGnm(96, 384, graph.Uniform(8), runSeed, true)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "random"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, engineProbe)
+		r, err := soakEngineSSSP(g, runSeed, cfg, sink)
 		if err != nil {
 			return nil, nil, err
 		}
 		timedOut = r.TimedOut
 		stats = &r.Stats
-		ops.AddOps(classic.Dijkstra(g, 0).Ops)
+		classicOps = classic.Dijkstra(g, 0).Ops
 		rec.Add("neurons", int64(r.Neurons))
 	case "congest":
 		g := graph.RandomGnm(40, 160, graph.Uniform(8), runSeed, true)
@@ -281,13 +280,13 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		g := graph.Grid(8, 8, graph.Unit, runSeed)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "grid"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, engineProbe)
+		r, err := soakEngineSSSP(g, runSeed, cfg, sink)
 		if err != nil {
 			return nil, nil, err
 		}
 		timedOut = r.TimedOut
 		stats = &r.Stats
-		ops.AddOps(classic.Dijkstra(g, 0).Ops)
+		classicOps = classic.Dijkstra(g, 0).Ops
 		asn := fleet.PartitionBFS(g, 16)
 		fleet.AnalyzeSSSP(g, asn, r.Dist, sink)
 		rec.Add("chips", int64(asn.Chips))
@@ -309,10 +308,10 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		if o, ok := cfg.Probes.(interface{ ObserveRunStats(int64, int64) }); ok {
 			o.ObserveRunStats(stats.MaxQueueDepth, stats.SilentStepsSkipped)
 		}
-		// Energy is metered only on the engine workloads (the meter saw
-		// their steps); fold the silence-skipped steps and price the run.
-		meter.AddIdleSteps(stats.SilentStepsSkipped)
-		man.Energy = energy.ReportFromMeters(meter, ops, energy.Tariffs())
+		// Energy is priced only on the engine workloads, from the run's
+		// own stats (silence-skipped steps charged at the idle tariff).
+		man.Energy = energy.NewReport(stats.Spikes, stats.Deliveries, 0, stats.SilentStepsSkipped,
+			stats.Steps, classicOps, energy.Tariffs())
 		if o, ok := cfg.Probes.(interface{ ObserveEnergy(*energy.Report) }); ok {
 			o.ObserveEnergy(man.Energy)
 		}

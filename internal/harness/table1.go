@@ -33,9 +33,6 @@ type Table1Config struct {
 	// DistanceProbe, when non-nil, observes every DISTANCE-machine
 	// primitive of the movement half (spaabench table1 -metrics).
 	DistanceProbe distance.Probe
-	// StepProbe, when non-nil, observes every simulated step of the
-	// sweep's engine-level SSSP runs (the energy sweep's metering hook).
-	StepProbe snn.StepProbe
 }
 
 // DefaultTable1Config returns the sweep used by the checked-in
@@ -74,6 +71,9 @@ type Table1Row struct {
 type Table1Report struct {
 	Config Table1Config
 	Rows   []Table1Row
+	// SSSPStats holds the engine statistics of the spiking SSSP run at
+	// each size, in Config.Sizes order (the energy sweep prices them).
+	SSSPStats []snn.Stats
 }
 
 // RunTable1 executes the Table 1 reproduction sweep: for every size it
@@ -102,11 +102,8 @@ func RunTable1(cfg Table1Config) *Table1Report {
 		}
 		bf := classic.BellmanFordKHop(g, 0, cfg.K, false)
 
-		var sprobes []snn.StepProbe
-		if cfg.StepProbe != nil {
-			sprobes = append(sprobes, cfg.StepProbe)
-		}
-		ssspN := mustSSSP(g, 0, -1, sprobes...)
+		ssspN := mustSSSP(g, 0, -1)
+		rep.SSSPStats = append(rep.SSSPStats, ssspN.Stats)
 		ttl := core.KHopTTL(g, 0, -1, cfg.K)
 		poly := core.KHopPoly(g, 0, cfg.K)
 		polySSSP := core.SSSPPoly(g, 0)

@@ -64,7 +64,7 @@ func TestScopes(t *testing.T) {
 		{"guardedby", "repro/internal/metrics", true}, // unscoped: runs everywhere
 		{"wallclock", "repro/internal/graph", true},   // unscoped: the determinism guarantee is global
 		{"probealloc", "repro/internal/telemetry", true},
-		{"probealloc", "repro/internal/energy", true}, // the metering probe's zero-alloc contract
+		{"probealloc", "repro/internal/energy", true},
 		{"atomicmix", "repro/internal/snn", true},
 		{"floateq", "repro/internal/telemetry", false},
 		{"floateq", "repro/internal/congest", true},

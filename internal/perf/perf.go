@@ -1,17 +1,16 @@
-// Package perf is the throughput half of the observability story: a
-// zero-allocation performance-counter subsystem for the hot paths the
-// paper's advantage arguments run through. Where internal/telemetry
-// records *what* a run cost in model units (spikes, deliveries, ℓ1
-// movement) and internal/metrics exposes those costs live, this package
-// measures *how fast* the reproduction pays them on real hardware:
-// engine steps/sec, deliveries/sec, queue occupancy, per-phase wall
-// time (netlist build / run / report), and allocation + GC deltas from
+// Package perf is the throughput half of the observability story. Where
+// internal/telemetry records *what* a run cost in model units (spikes,
+// deliveries, ℓ1 movement) and internal/metrics exposes those costs
+// live, this package measures *how fast* the reproduction pays them on
+// real hardware: engine steps/sec, deliveries/sec, per-phase wall time
+// (netlist build / run / report), and allocation + GC deltas from
 // runtime.MemStats snapshots bracketing each run.
 //
 // The package is a leaf: stdlib-only, imported by telemetry (manifest
 // section), metrics (Prometheus families), and harness (perf tier +
-// soak), never the other way around. Counters satisfies snn.StepProbe
-// structurally — the engine does not import perf.
+// soak), never the other way around. It owns no step probe: the run's
+// totals are the engine's own snn.Stats, handed to Tracker.SetTotals
+// after the run.
 //
 // Results are emitted as a deterministic spaa-perf/v1 Report: the
 // counter-derived fields (steps, deliveries, deliveries/step, queue
@@ -20,60 +19,3 @@
 // are machine noise and are zeroed under -deterministic so committed
 // baselines stay byte-reproducible across hosts.
 package perf
-
-import "sync/atomic"
-
-// Counters is the step-loop instrument: four monotone totals plus a
-// queue-depth high-water mark, all plain atomics so the engine pays one
-// atomic add per field and zero allocations per step (guarded by
-// TestCountersZeroAlloc and snn's BenchmarkEnginePerfCountersOverhead).
-// A nil *Counters is a no-op on every method, matching the probe
-// fabric's nil-receiver contract.
-type Counters struct {
-	steps, spikes, deliveries, active atomic.Int64
-	maxQueue                          atomic.Int64
-}
-
-// OnStep implements snn.StepProbe (structurally): one call per
-// non-silent simulated step with that step's scalar costs.
-//
-//lint:hotpath
-func (c *Counters) OnStep(t int64, spikes, deliveries, active, queueDepth int) {
-	if c == nil {
-		return
-	}
-	c.steps.Add(1)
-	c.spikes.Add(int64(spikes))
-	c.deliveries.Add(int64(deliveries))
-	c.active.Add(int64(active))
-	for {
-		cur := c.maxQueue.Load()
-		if int64(queueDepth) <= cur || c.maxQueue.CompareAndSwap(cur, int64(queueDepth)) {
-			return
-		}
-	}
-}
-
-// Steps returns the number of observed non-silent steps.
-func (c *Counters) Steps() int64 { return c.steps.Load() }
-
-// Spikes returns the accumulated spike count.
-func (c *Counters) Spikes() int64 { return c.spikes.Load() }
-
-// Deliveries returns the accumulated synaptic delivery count.
-func (c *Counters) Deliveries() int64 { return c.deliveries.Load() }
-
-// Active returns the accumulated membrane-update count.
-func (c *Counters) Active() int64 { return c.active.Load() }
-
-// MaxQueueDepth returns the pending-event queue high-water mark.
-func (c *Counters) MaxQueueDepth() int64 { return c.maxQueue.Load() }
-
-// Reset zeroes every counter (between runs sharing one instance).
-func (c *Counters) Reset() {
-	c.steps.Store(0)
-	c.spikes.Store(0)
-	c.deliveries.Store(0)
-	c.active.Store(0)
-	c.maxQueue.Store(0)
-}

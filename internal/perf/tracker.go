@@ -15,8 +15,7 @@ type SpanSink interface {
 // Tracker brackets one run: it snapshots the heap at construction,
 // accumulates named phase spans (build / run / report), and renders a
 // Report when stopped. A Tracker is single-goroutine (one per run, the
-// way harness.Soak and the perf tier use it); the Counters it summarizes
-// are the concurrent part.
+// way harness.Soak and the perf tier use it).
 type Tracker struct {
 	start    time.Time
 	startMem MemSnapshot
@@ -75,21 +74,13 @@ func (t *Tracker) closePhase(now time.Time) {
 	}
 }
 
-// SetTotals records the run's counter-derived totals (from snn.Stats or
-// a Counters instance) for the report's throughput math.
+// SetTotals records the run's counter-derived totals (from the run's
+// snn.Stats) for the report's throughput math.
 func (t *Tracker) SetTotals(steps, spikes, deliveries, maxQueueDepth int64) {
 	if t == nil {
 		return
 	}
 	t.steps, t.spikes, t.deliveries, t.maxQueue = steps, spikes, deliveries, maxQueueDepth
-}
-
-// AddCounters is SetTotals from a live Counters instrument.
-func (t *Tracker) AddCounters(c *Counters) {
-	if t == nil || c == nil {
-		return
-	}
-	t.SetTotals(c.Steps(), c.Spikes(), c.Deliveries(), c.MaxQueueDepth())
 }
 
 // Stop closes the open phase, stamps the total wall time, and takes the

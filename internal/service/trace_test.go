@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -146,4 +147,101 @@ func TestChaosTraceCoverage(t *testing.T) {
 	if err := VerifyTraceCoverage(repBad, trBad); err == nil {
 		t.Error("DropDegraded misconfiguration passed the coverage gate")
 	}
+}
+
+// TestRunSpanTotalsMatchEngineStats: a run span's steps, spikes and
+// deliveries are the snn.Stats of the engine runs it covers — the exact
+// rung's single run, every replica of an NMR vote, every self-check
+// attempt — rebuilt here from independent faults.RunSSSP calls under
+// the seeds the ladder derives.
+func TestRunSpanTotalsMatchEngineStats(t *testing.T) {
+	type totals struct{ steps, spikes, deliveries int64 }
+	add := func(sum *totals, r faults.RunResult) {
+		sum.steps += r.Res.Stats.Steps
+		sum.spikes += r.Res.Stats.Spikes
+		sum.deliveries += r.Res.Stats.Deliveries
+	}
+	runSpans := func(t *testing.T, s *Service, col *trace.Collector, q Query) []trace.Span {
+		t.Helper()
+		resp := s.Execute(q, 0)
+		tr := col.Report().FindTrace(resp.TraceID)
+		if tr == nil {
+			t.Fatalf("trace %q not sampled", resp.TraceID)
+		}
+		var spans []trace.Span
+		for _, sp := range tr.Spans {
+			if sp.Stage == trace.StageRun {
+				spans = append(spans, sp)
+			}
+		}
+		return spans
+	}
+	check := func(t *testing.T, sp trace.Span, want totals) {
+		t.Helper()
+		got := totals{sp.Steps, sp.Spikes, sp.Deliveries}
+		if got != want || got.steps == 0 {
+			t.Errorf("%s run span totals %+v, summed engine stats %+v", sp.Detail, got, want)
+		}
+	}
+
+	t.Run("exact", func(t *testing.T) {
+		col := trace.NewCollector(trace.Config{Seed: 1, KeepEvery: 1})
+		s := newTestService(Config{Trace: col})
+		q := testQuery("sssp")
+		spans := runSpans(t, s, col, q)
+		if len(spans) != 1 || spans[0].Detail != "wavefront" {
+			t.Fatalf("exact query run spans = %+v, want one wavefront", spans)
+		}
+		var want totals
+		add(&want, faults.RunSSSP(buildGraph(q), q.Src, -1, faults.Model{}))
+		check(t, spans[0], want)
+	})
+
+	t.Run("nmr and selfcheck", func(t *testing.T) {
+		col := trace.NewCollector(trace.Config{Seed: 1, KeepEvery: 1})
+		s := newTestService(Config{Model: faults.Model{DropProb: 0.1, Seed: 9}, MaxRetries: 1, Seed: 42, Trace: col})
+		q := testQuery("sssp")
+		q.GraphSeed = 0 // both NMR votes and the first self-check attempt fail here
+		g := buildGraph(q)
+		model := s.cfg.Model.WithSeed(s.querySeed(q))
+		var nmrSeen, checkSeen int
+		for _, sp := range runSpans(t, s, col, q) {
+			var want totals
+			switch sp.Detail {
+			case "nmr vote":
+				m := model
+				if nmrSeen > 0 {
+					m = model.WithSeed(faults.DeriveSeed(model.Seed, "service-nmr-retry", nmrSeen))
+				}
+				nmrSeen++
+				for r := 0; r < s.cfg.NMRReplicas; r++ {
+					seed := m.Seed
+					if r > 0 {
+						seed = faults.DeriveSeed(m.Seed, "nmr-replica", r)
+					}
+					add(&want, faults.RunSSSP(g, q.Src, -1, m.WithSeed(seed)))
+				}
+			case "selfcheck":
+				checkSeen++
+				m := model.WithSeed(faults.DeriveSeed(model.Seed, "service-selfcheck", 0))
+				attempts := faults.SSSPWithSelfCheck(g, q.Src, m, s.cfg.MaxRetries).Attempts
+				if attempts < 2 {
+					t.Fatalf("selfcheck verified on its first attempt; the case must sum retries")
+				}
+				for a := 0; a < attempts; a++ {
+					ma := m
+					if a > 0 {
+						ma = m.WithSeed(faults.DeriveSeed(m.Seed, "selfcheck-retry", a))
+					}
+					add(&want, faults.RunSSSP(g, q.Src, -1, ma))
+				}
+			default:
+				t.Fatalf("unexpected run span %q under faults", sp.Detail)
+			}
+			check(t, sp, want)
+		}
+		if nmrSeen != 2 || checkSeen != 1 {
+			t.Fatalf("saw %d nmr vote and %d selfcheck run spans, want 2 and 1", nmrSeen, checkSeen)
+		}
+	})
 }

@@ -21,23 +21,83 @@ func (p *countingProbe) OnStep(t int64, spikes, deliveries, active, queueDepth i
 	}
 }
 
+// lossyInjector drops every third delivery and jitters the rest by
+// 0-3 steps, deterministically in the endpoint ids.
+type lossyInjector struct{}
+
+func (lossyInjector) Prepare(*Network) {}
+
+func (lossyInjector) FilterDelivery(t int64, from, to int32, w float64, d int64) (float64, int64, bool) {
+	return w, d + int64(to%4), (from+to)%3 == 0
+}
+
+func (lossyInjector) FilterFire(int64, int32, bool) bool { return true }
+
+func (lossyInjector) PerturbVoltage(int64, int32) float64 { return 0 }
+
+// TestProbeSeesEveryStep pins the invariant every per-run total in the
+// repo relies on: OnStep's call count, the sums of its spikes and
+// deliveries, and the max of its queueDepth equal Result.Stats. Perf,
+// energy and trace totals are therefore read from Stats after the run
+// instead of being recounted by a step probe.
 func TestProbeSeesEveryStep(t *testing.T) {
-	net := buildWavefront(128, 512, 11)
-	p := &countingProbe{}
-	net.SetProbe(p)
-	net.Run(1 << 30)
-	st := net.TotalStats()
-	if p.steps != st.Steps {
-		t.Fatalf("probe saw %d steps, stats %d", p.steps, st.Steps)
+	cases := []struct {
+		name string
+		// run drives a network with p attached and returns the Result of
+		// the run whose Stats p must match.
+		run func(t *testing.T, p StepProbe) Result
+	}{
+		{"wavefront", func(t *testing.T, p StepProbe) Result {
+			net := buildWavefront(128, 512, 11)
+			net.SetProbe(p)
+			return net.Run(1 << 30)
+		}},
+		{"delay chain with silent steps", func(t *testing.T, p StepProbe) Result {
+			net, _ := chain(10)
+			net.SetProbe(p)
+			return net.Run(100)
+		}},
+		{"injector drops and jitters", func(t *testing.T, p StepProbe) Result {
+			pristine := buildWavefront(256, 1024, 5).Run(1 << 30)
+			net := buildWavefront(256, 1024, 5)
+			net.SetInjector(lossyInjector{})
+			net.SetProbe(p)
+			r := net.Run(1 << 30)
+			if r.Stats == pristine.Stats {
+				t.Fatal("injector left the run unchanged")
+			}
+			return r
+		}},
+		{"two successive runs", func(t *testing.T, p StepProbe) Result {
+			net := buildWavefront(128, 512, 7)
+			net.SetProbe(p)
+			if r := net.Run(20); r.Quiescent {
+				t.Fatal("first run drained the network; the case needs a cut-off")
+			}
+			return net.Run(1 << 30)
+		}},
+		{"run after reset", func(t *testing.T, p StepProbe) Result {
+			net := buildWavefront(128, 512, 9)
+			net.Run(1 << 30)
+			net.Reset()
+			net.SetProbe(p)
+			net.InduceSpike(3, 2)
+			return net.Run(1 << 30)
+		}},
 	}
-	if p.spikes != st.Spikes {
-		t.Fatalf("probe saw %d spikes, stats %d", p.spikes, st.Spikes)
-	}
-	if p.deliveries != st.Deliveries {
-		t.Fatalf("probe saw %d deliveries, stats %d", p.deliveries, st.Deliveries)
-	}
-	if p.maxQueue > st.MaxQueueDepth {
-		t.Fatalf("probe max queue %d exceeds stats %d", p.maxQueue, st.MaxQueueDepth)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := &countingProbe{}
+			st := c.run(t, p).Stats
+			if st.Steps == 0 || st.Deliveries == 0 {
+				t.Fatalf("degenerate case: %+v", st)
+			}
+			got := Stats{Steps: p.steps, Spikes: p.spikes, Deliveries: p.deliveries,
+				MaxQueueDepth: p.maxQueue, SilentStepsSkipped: st.SilentStepsSkipped}
+			if got != st {
+				t.Fatalf("probe totals %+v, Result.Stats %+v", got, st)
+			}
+		})
 	}
 }
 

@@ -24,10 +24,10 @@
 // contract the deterministic soak test asserts.
 //
 // The package is a stdlib-only leaf: service, telemetry, metrics,
-// harness and cmd/spaabench import it, never the reverse. EngineProbe
-// satisfies snn.StepProbe structurally — the engine does not import
-// trace, and a nil probe costs the engine nothing (pinned by
-// BenchmarkEngineTraceOverhead).
+// harness and cmd/spaabench import it, never the reverse. Run spans
+// carry engine totals read from the run's snn.Stats after the run
+// (Active.EndEngine), so tracing attaches nothing to the engine's step
+// loop.
 package trace
 
 import (
@@ -157,8 +157,8 @@ type Span struct {
 	Dur    int64  `json:"dur"`
 	// WallMicros refines Dur with measured wall time (live mode only).
 	WallMicros int64 `json:"wall_us,omitempty"`
-	// Engine sub-event totals sampled off the snn.StepProbe fan-out
-	// (run spans only).
+	// Engine sub-event totals from the run's snn.Stats (run spans
+	// only).
 	Steps      int64 `json:"steps,omitempty"`
 	Spikes     int64 `json:"spikes,omitempty"`
 	Deliveries int64 `json:"deliveries,omitempty"`

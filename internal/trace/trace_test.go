@@ -340,13 +340,10 @@ func TestNilActiveAndCollectorSafe(t *testing.T) {
 	ref := a.Begin(StageRung, "exact")
 	a.End(ref, 1)
 	a.EndAt(ref)
-	a.EndEngine(ref, 1)
+	a.EndEngine(ref, 1, 1, 1, 1)
 	a.Event(StageBreaker, "x")
 	a.SetWallMicros(ref, 1)
 	a.PhaseSpan(StageBuild, 0, 1)
-	if a.Probe() != nil {
-		t.Error("nil Active returned a probe")
-	}
 	if a.Spans() != nil {
 		t.Error("nil Active returned spans")
 	}
@@ -359,35 +356,13 @@ func TestNilActiveAndCollectorSafe(t *testing.T) {
 	c.FlushNew(func([]*Trace) { t.Error("nil collector flushed") })
 }
 
-func TestEngineProbeFoldsIntoRunSpan(t *testing.T) {
-	c := NewCollector(Config{Seed: 1})
-	a := c.StartTrace(0, "sssp", "t0", "")
-	p := a.Probe()
-	p.OnStep(0, 3, 10, 2, 5)
-	p.OnStep(1, 1, 2, 1, 2)
-	ref := a.Begin(StageRun, "wavefront")
-	a.EndEngine(ref, 9)
-	s := a.Spans()[1]
-	if s.Steps != 2 || s.Spikes != 4 || s.Deliveries != 12 || s.Dur != 9 {
-		t.Fatalf("engine totals not folded: %+v", s)
-	}
-	if p.Steps() != 0 {
-		t.Error("probe not reset after EndEngine")
-	}
-	var nilProbe *EngineProbe
-	nilProbe.OnStep(0, 1, 1, 1, 1) // must not panic
-	nilProbe.Reset()
-}
-
 func TestRenderTraceWaterfall(t *testing.T) {
 	c := NewCollector(Config{Seed: 1})
 	a := c.StartTrace(0, "sssp", "t1", "")
 	a.Event(StageAdmission, "ok")
 	r := a.Begin(StageRung, "exact")
 	e := a.BeginUnder(r, StageRun, "wavefront")
-	p := a.Probe()
-	p.OnStep(0, 2, 8, 1, 1)
-	a.EndEngine(e, 32)
+	a.EndEngine(e, 32, 1, 2, 8)
 	a.EndAt(r)
 	a.Finish(32, FlagDegraded)
 	out := c.Report().Render(0)
