@@ -31,6 +31,29 @@ func TestBadGraphSizeErrors(t *testing.T) {
 			})
 		}
 	}
+	// Out-of-range vertices: 0 <= src < n and -1 <= dst < n.
+	for _, argv := range [][]string{
+		{"sssp", "-n", "10", "-m", "20", "-src", "50"},
+		{"sssp", "-n", "10", "-m", "20", "-dst", "-5"},
+		{"sssp", "-n", "10", "-m", "20", "-dst", "10"},
+		{"raster", "-src", "-1"},
+		{"timeline", "-n", "10", "-m", "20", "-src", "50"},
+		{"faults", "-n", "10", "-m", "20", "-src", "50"},
+		{"faults", "-n", "0", "-m", "0"},
+		{"why", "-src", "64", "-dst", "3"},
+		{"why", "-dst", "64"},
+	} {
+		t.Run(strings.Join(argv, " "), func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%v panicked: %v", argv, r)
+				}
+			}()
+			if code := realMain(argv); code != 1 {
+				t.Fatalf("%v exit %d, want 1", argv, code)
+			}
+		})
+	}
 }
 
 // TestOutputDirsCreated: -out and -write-baseline create a missing

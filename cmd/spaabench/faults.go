@@ -43,6 +43,12 @@ func cmdFaults(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkGnm(*n, *m, *u); err != nil {
+		return err
+	}
+	if err := checkVertices(*n, *src, -1); err != nil {
+		return err
+	}
 	if *quick {
 		*trials = 3
 		*rates = "0,0.01"

@@ -66,6 +66,9 @@ func cmdWhy(args []string) error {
 		return nil
 	}
 
+	if err := checkVertices(*n, *src, *dst); err != nil {
+		return err
+	}
 	g := graph.RandomGnm(*n, *m, graph.Uniform(*u), *seed, true)
 	rec, err := harness.RecordSSSP(g, *src, -1, "spaabench", "why")
 	if err != nil {

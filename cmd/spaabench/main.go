@@ -190,6 +190,18 @@ func checkGnm(n, m int, u int64) error {
 	return nil
 }
 
+// checkVertices rejects a source outside [0,n) and a destination outside
+// [-1,n) (-1 = every vertex) before they reach a solver that would panic.
+func checkVertices(n, src, dst int) error {
+	switch {
+	case src < 0 || src >= n:
+		return fmt.Errorf("-src must be in [0,%d), got %d", n, src)
+	case dst < -1 || dst >= n:
+		return fmt.Errorf("-dst must be in [-1,%d), got %d", n, dst)
+	}
+	return nil
+}
+
 func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	sizes := fs.String("sizes", "64,128,256,512", "comma-separated vertex counts")
@@ -285,6 +297,9 @@ func cmdSSSP(args []string) error {
 		}
 	} else {
 		g = graph.RandomGnm(*n, *m, graph.Uniform(*u), *seed, true)
+	}
+	if err := checkVertices(g.N(), *src, *dst); err != nil {
+		return err
 	}
 	o.setGraph(g, *seed, "random")
 	o.Man.SetConfig("algo", *algo).SetConfig("src", *src).SetConfig("dst", *dst)
@@ -398,6 +413,9 @@ func cmdRaster(args []string) error {
 	if err := checkGnm(*n, *m, *u); err != nil {
 		return err
 	}
+	if err := checkVertices(*n, *src, -1); err != nil {
+		return err
+	}
 	g := graph.RandomGnm(*n, *m, graph.Uniform(*u), *seed, true)
 	fmt.Print(harness.SSSPRaster(g, *src))
 	return nil
@@ -415,6 +433,9 @@ func cmdTimeline(args []string) error {
 		return err
 	}
 	if err := checkGnm(*n, *m, *u); err != nil {
+		return err
+	}
+	if err := checkVertices(*n, *src, -1); err != nil {
 		return err
 	}
 	if err := o.begin("timeline"); err != nil {

@@ -314,6 +314,7 @@ func attachProbes(net *snn.Network, probes []snn.StepProbe) {
 func newRelayNetwork(g *graph.Graph) *relayNetwork {
 	n := g.N()
 	net := snn.NewNetwork(snn.Config{Rule: snn.FireGTE})
+	net.Grow(n, n+g.M())
 	// Relay ids equal vertex ids; the lazy labeler costs nothing unless a
 	// provenance log asks for names.
 	net.SetLabeler(func(i int) string { return "v" + strconv.Itoa(i) })

@@ -30,17 +30,16 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 	}
 
 	// forced[t] = induced spikes; synIn[t mod W][i] accumulates arrivals.
-	forced := make(map[int64][]int32, len(n.pending))
+	n.compact()
+	forced := make(map[int64][]int32, len(n.times))
 	maxDelay := int64(1)
-	for i := range n.out {
-		for _, s := range n.out[i] {
-			if s.delay > maxDelay {
-				maxDelay = s.delay
-			}
+	for _, s := range n.syn {
+		if s.delay > maxDelay {
+			maxDelay = s.delay
 		}
 	}
-	//lint:deterministic builds a keyed map from a map; per-key, order-independent
-	for t, b := range n.pending {
+	for _, t := range n.times {
+		b := &n.buckets[n.lookup(t)]
 		if len(b.deliveries) > 0 {
 			panic("snn: DenseRun cannot resume pending deliveries")
 		}
@@ -56,9 +55,9 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 	raster := make([][]int, maxTime+1)
 	for t := int64(0); t <= maxTime; t++ {
 		slot := synIn[t%window]
-		forcedSet := make(map[int32]bool, len(forced[t]))
+		inducedNow := make(map[int32]bool, len(forced[t]))
 		for _, i := range forced[t] {
-			forcedSet[i] = true
+			inducedNow[i] = true
 		}
 		var fired []int
 		for i := 0; i < nn; i++ {
@@ -68,7 +67,7 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 			if n.cfg.Rule == FireStrict {
 				cross = vhat > p.Threshold
 			}
-			if forcedSet[int32(i)] || cross {
+			if inducedNow[int32(i)] || cross {
 				fired = append(fired, i)
 				voltage[i] = p.Reset
 			} else {
@@ -77,7 +76,7 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 			slot[i] = 0
 		}
 		for _, i := range fired {
-			for _, s := range n.out[i] {
+			for _, s := range n.fanout(int32(i)) {
 				at := t + s.delay
 				if at <= maxTime {
 					synIn[at%window][s.to] += s.weight

@@ -134,6 +134,7 @@ func LintNetlist(r io.Reader) (NetlistInfo, []Violation, error) {
 // passed validateSpec with no errors first (so no builder call can panic).
 func (s *netSpec) build() *Network {
 	net := NewNetwork(s.cfg)
+	net.Grow(len(s.neurons), len(s.synapses))
 	for _, p := range s.neurons {
 		net.AddNeuron(p)
 	}

@@ -35,12 +35,24 @@
 // its running time is proportional to the number of spike deliveries, not
 // to wall-clock simulated time. Voltage decay across skipped steps is
 // applied lazily and exactly.
+//
+// Synapses are stored in CSR (compressed sparse row) form: Connect
+// appends to one flat staging slice, and the first Run or structural read
+// compacts it into per-neuron offsets plus one synapse array with a
+// stable counting sort, so loading a graph is O(n+m) with a handful of
+// allocations and each neuron's fan-out keeps Connect order. Pending
+// events live in pooled, recycled time buckets ordered by a typed min-heap
+// of times; a bucket is found by time through a ring indexed by t mod W
+// (W the power of two above the largest delay under 2^17), and the
+// rare time at or beyond the window (huge delays, injector jitter,
+// far-future inputs) through a small far map. A warm network re-run after
+// Reset allocates nothing unless Config.Record keeps spike trains.
 package snn
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FireRule selects the threshold comparison.
@@ -80,43 +92,20 @@ func Integrator(threshold float64) Neuron {
 	return Neuron{Reset: 0, Threshold: threshold, Decay: 0}
 }
 
-// synapse is a directed connection with programmable weight and delay.
+// synapse is a directed connection with programmable weight and delay,
+// as stored in the compacted CSR layout (the source is implied by the row).
 type synapse struct {
 	to     int32
 	weight float64
 	delay  int64
 }
 
-// delivery is a scheduled synaptic arrival.
-type delivery struct {
-	to     int32
-	from   int32
-	weight float64
-}
-
-// bucket collects everything that happens at one future time step.
-// delays carries per-delivery synaptic delays for provenance capture; it
-// is populated (index-aligned with deliveries) only while a FlightProbe
-// is attached, so the recorder-off path allocates nothing extra.
-type bucket struct {
-	deliveries []delivery
-	forced     []int32
-	delays     []int64
-}
-
-// timeHeap is a min-heap of pending event times.
-type timeHeap []int64
-
-func (h timeHeap) Len() int           { return len(h) }
-func (h timeHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h timeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-func (h *timeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// stagedSynapse is a synapse added by Connect and not yet compacted into
+// the CSR layout; 24 bytes with no padding.
+type stagedSynapse struct {
+	from, to int32
+	weight   float64
+	delay    int64
 }
 
 // Config controls optional simulator features.
@@ -146,15 +135,27 @@ type StepProbe interface {
 type Network struct {
 	cfg     Config
 	neurons []Neuron
-	out     [][]synapse
+
+	// Synapses in CSR form: neuron i's outgoing synapses are
+	// syn[off[i]:off[i+1]] in insertion order. Connect appends to staged;
+	// compact merges staged into off/syn before the next run or read.
+	off      []int32
+	syn      []synapse
+	staged   []stagedSynapse
+	maxDelay int64 // largest delay below ringCap; sizes the ring
 
 	// dynamic state
 	voltage []float64
 	vtime   []int64 // time at which voltage[i] is current
 	now     int64
 
-	pending map[int64]*bucket
-	times   timeHeap
+	// pending-event queue (see queue.go)
+	times   []int64 // min-heap of pending times
+	buckets []bucket
+	free    []int32 // recycled bucket ids
+	ring    []int32 // bucket id by t & (len-1), or -1
+	far     map[int64]int32
+	base    int64 // latest consumed time; the ring covers [base, base+len(ring))
 
 	firstSpike []int64
 	firstCause []int32
@@ -168,6 +169,8 @@ type Network struct {
 	synFrom   []int32 // positive-weight contributor for cause tracking
 	touched   []int32
 	touchedAt []int64 // generation marker per neuron
+	forcedAt  []int64 // generation at which the neuron was last induced to fire
+	fired     []int32 // per-step scratch
 
 	gen int64
 
@@ -209,9 +212,29 @@ type Stats struct {
 func NewNetwork(cfg Config) *Network {
 	return &Network{
 		cfg:      cfg,
-		pending:  make(map[int64]*bucket),
+		far:      make(map[int64]int32),
 		lastStep: -1,
 	}
+}
+
+// Grow reserves room for neurons more neurons and synapses more
+// synapses, like bytes.Buffer.Grow, so a builder that knows its sizes
+// (core's relay network, ReadNetlist) appends without reallocating. It
+// changes no behaviour.
+func (n *Network) Grow(neurons, synapses int) {
+	n.neurons = slices.Grow(n.neurons, neurons)
+	n.voltage = slices.Grow(n.voltage, neurons)
+	n.vtime = slices.Grow(n.vtime, neurons)
+	n.firstSpike = slices.Grow(n.firstSpike, neurons)
+	n.firstCause = slices.Grow(n.firstCause, neurons)
+	n.synIn = slices.Grow(n.synIn, neurons)
+	n.synFrom = slices.Grow(n.synFrom, neurons)
+	n.touchedAt = slices.Grow(n.touchedAt, neurons)
+	n.forcedAt = slices.Grow(n.forcedAt, neurons)
+	if n.cfg.Record {
+		n.spikeLog = slices.Grow(n.spikeLog, neurons)
+	}
+	n.staged = slices.Grow(n.staged, synapses)
 }
 
 // SetProbe installs (or, with nil, removes) a per-step observer. Probing
@@ -223,13 +246,7 @@ func (n *Network) SetProbe(p StepProbe) { n.probe = p }
 func (n *Network) N() int { return len(n.neurons) }
 
 // Synapses returns the total number of synapses.
-func (n *Network) Synapses() int {
-	total := 0
-	for i := range n.out {
-		total += len(n.out[i])
-	}
-	return total
-}
+func (n *Network) Synapses() int { return len(n.syn) + len(n.staged) }
 
 // AddNeuron adds a neuron and returns its index. The reset voltage must
 // lie strictly below the threshold (under FireGTE) or at most equal to it
@@ -250,7 +267,6 @@ func (n *Network) AddNeuron(p Neuron) int {
 	}
 	idx := len(n.neurons)
 	n.neurons = append(n.neurons, p)
-	n.out = append(n.out, nil)
 	n.voltage = append(n.voltage, p.Reset)
 	n.vtime = append(n.vtime, 0)
 	n.firstSpike = append(n.firstSpike, -1)
@@ -258,6 +274,7 @@ func (n *Network) AddNeuron(p Neuron) int {
 	n.synIn = append(n.synIn, 0)
 	n.synFrom = append(n.synFrom, -1)
 	n.touchedAt = append(n.touchedAt, -1)
+	n.forcedAt = append(n.forcedAt, -1)
 	if n.cfg.Record {
 		n.spikeLog = append(n.spikeLog, nil)
 	}
@@ -284,8 +301,52 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 	if math.IsNaN(weight) {
 		panic("snn: NaN synapse weight")
 	}
-	n.out[from] = append(n.out[from], synapse{to: int32(to), weight: weight, delay: delay})
+	n.staged = append(n.staged, stagedSynapse{from: int32(from), to: int32(to), weight: weight, delay: delay})
+	if delay < ringCap && delay > n.maxDelay {
+		n.maxDelay = delay
+	}
 }
+
+// compact merges the staged synapses into the CSR layout with a stable
+// counting sort: each neuron keeps its synapses in insertion order, with
+// any staged after a previous compaction following the compacted ones, so
+// delivery order (and thus FirstCause) is exactly Connect order. It also
+// sizes the event ring to the largest delay. Run and every structural
+// reader call it; it is a no-op once the layout is current.
+func (n *Network) compact() {
+	nn := len(n.neurons)
+	if len(n.staged) > 0 || len(n.off) != nn+1 {
+		// off[i+1] counts neuron i's synapses, then holds its write
+		// cursor, and after placement ends where neuron i+1 starts.
+		off := make([]int32, nn+1)
+		for i := 0; i+1 < len(n.off); i++ {
+			off[i+1] = n.off[i+1] - n.off[i]
+		}
+		for _, s := range n.staged {
+			off[s.from+1]++
+		}
+		var sum int32
+		for i := 1; i <= nn; i++ {
+			off[i], sum = sum, sum+off[i]
+		}
+		syn := make([]synapse, sum)
+		for i := 0; i+1 < len(n.off); i++ {
+			k := off[i+1]
+			off[i+1] += int32(copy(syn[k:], n.syn[n.off[i]:n.off[i+1]]))
+		}
+		for _, s := range n.staged {
+			syn[off[s.from+1]] = synapse{to: s.to, weight: s.weight, delay: s.delay}
+			off[s.from+1]++
+		}
+		n.off, n.syn, n.staged = off, syn, nil
+	}
+	if w := ringSize(n.maxDelay); w != len(n.ring) {
+		n.resizeRing(w)
+	}
+}
+
+// fanout returns neuron i's outgoing synapses; the layout must be compact.
+func (n *Network) fanout(i int32) []synapse { return n.syn[n.off[i]:n.off[i+1]] }
 
 // InduceSpike forces neuron i to fire at time t >= current time. This is
 // the input mechanism of Definition 3 (computation is initiated by
@@ -317,20 +378,6 @@ func (n *Network) RequireAllTerminals() {
 	n.terminalAll = true
 }
 
-// bucketAt resolves the pending-event bucket for time t, creating it on
-// first use.
-//
-//lint:hotpath called once per scheduled delivery from the step loop
-func (n *Network) bucketAt(t int64) *bucket {
-	b, ok := n.pending[t]
-	if !ok {
-		b = &bucket{}
-		n.pending[t] = b
-		heap.Push(&n.times, t)
-	}
-	return b
-}
-
 // Result reports the outcome of Run.
 type Result struct {
 	// Halted is true when a terminal neuron fired; TerminalTime is the
@@ -359,21 +406,27 @@ type Result struct {
 //
 //lint:hotpath the outer event loop; every per-iteration allocation scales with run length
 func (n *Network) Run(maxTime int64) Result {
+	n.compact()
 	for len(n.times) > 0 {
 		t := n.times[0]
 		if t > maxTime {
 			break
 		}
-		heap.Pop(&n.times)
-		b := n.pending[t]
-		delete(n.pending, t)
+		n.popTime()
+		id := n.take(t)
+		if t > n.base {
+			n.base = t
+		}
 		n.now = t
+		b := n.buckets[id]
 		n.pendingEvents -= int64(len(b.deliveries) + len(b.forced))
 		if t > n.lastStep+1 {
 			n.stats.SilentStepsSkipped += t - n.lastStep - 1
 		}
 		n.lastStep = t
-		if n.step(t, b) {
+		halted := n.step(t, &b)
+		n.release(id)
+		if halted {
 			return Result{Halted: true, TerminalTime: t, Now: t, Stats: n.stats}
 		}
 	}
@@ -384,48 +437,49 @@ func (n *Network) Run(maxTime int64) Result {
 	return Result{TimedOut: true, Now: n.now, Stats: n.stats}
 }
 
-// step processes all activity at time t and returns true if a terminal fired.
+// step processes all activity at time t and returns true if a terminal
+// fired. b is a copy of the consumed bucket's header: scheduling may grow
+// the bucket pool while b's slices are being read.
 //
-//lint:hotpath the per-step inner loop; the nil-bridge benchmark pins it at 0 allocs/op
+//lint:hotpath the per-step inner loop; TestEngineSteadyStateZeroAlloc pins it at 0 allocs
 func (n *Network) step(t int64, b *bucket) bool {
 	n.stats.Steps++
 	n.gen++
-	n.touched = n.touched[:0]
-
-	touch := func(i int32) {
-		if n.touchedAt[i] != n.gen {
-			n.touchedAt[i] = n.gen
-			n.synIn[i] = 0
-			n.synFrom[i] = -1
-			n.touched = append(n.touched, i)
-		}
-	}
+	gen := n.gen
+	touched := n.touched[:0]
 	for _, d := range b.deliveries {
-		touch(d.to)
+		if n.touchedAt[d.to] != gen {
+			n.touchedAt[d.to] = gen
+			n.synIn[d.to] = 0
+			n.synFrom[d.to] = -1
+			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
+			touched = append(touched, d.to)
+		}
 		n.synIn[d.to] += d.weight
 		if d.weight > 0 && n.synFrom[d.to] < 0 {
 			n.synFrom[d.to] = d.from
 		}
-		n.stats.Deliveries++
 	}
+	n.touched = touched
+	n.stats.Deliveries += int64(len(b.deliveries))
 	if n.flight != nil {
 		n.captureAntecedents(b)
 	}
 
 	// Determine firings: forced inputs plus threshold crossings.
-	var fired []int32
-	forcedSet := map[int32]bool{}
+	fired := n.fired[:0]
 	for _, i := range b.forced {
-		if !forcedSet[i] {
+		if n.forcedAt[i] != gen {
 			if n.injector != nil && !n.injector.FilterFire(t, i, true) {
 				continue // stuck-at-silent: even induced inputs are lost
 			}
-			forcedSet[i] = true
+			n.forcedAt[i] = gen
+			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 			fired = append(fired, i)
 		}
 	}
-	for _, i := range n.touched {
-		if forcedSet[i] {
+	for _, i := range touched {
+		if n.forcedAt[i] == gen {
 			continue // forced spike overrides; voltage resets below
 		}
 		p := n.neurons[i]
@@ -442,20 +496,23 @@ func (n *Network) step(t int64, b *bucket) bool {
 			cross = false // suppressed spike: membrane keeps its charge
 		}
 		if cross {
+			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 			fired = append(fired, i)
 		} else {
 			n.voltage[i] = vhat
 			n.vtime[i] = t
 		}
 	}
+	n.fired = fired
 
 	terminal := false
 	for _, i := range fired {
+		forced := n.forcedAt[i] == gen
 		var vBefore, vAfter float64
 		if n.flight != nil {
 			vBefore = n.decayedVoltage(int(i), t)
 			vAfter = vBefore
-			if n.touchedAt[i] == n.gen {
+			if n.touchedAt[i] == gen {
 				vAfter += n.synIn[i]
 			}
 		}
@@ -464,15 +521,16 @@ func (n *Network) step(t int64, b *bucket) bool {
 		n.stats.Spikes++
 		if n.firstSpike[i] < 0 {
 			n.firstSpike[i] = t
-			if !forcedSet[i] {
+			if !forced {
 				n.firstCause[i] = n.synFrom[i]
 			}
 		}
 		if n.cfg.Record {
+			//lint:probealloc spike trains grow with the run by design (Config.Record)
 			n.spikeLog[i] = append(n.spikeLog[i], t)
 		}
 		scheduled := 0
-		for _, s := range n.out[i] {
+		for _, s := range n.fanout(i) {
 			w, d := s.weight, s.delay
 			if n.injector != nil {
 				var drop bool
@@ -484,15 +542,17 @@ func (n *Network) step(t int64, b *bucket) bool {
 				}
 			}
 			nb := n.bucketAt(t + d)
+			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 			nb.deliveries = append(nb.deliveries, delivery{to: s.to, from: i, weight: w})
 			if n.flight != nil {
+				//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 				nb.delays = append(nb.delays, d)
 			}
 			scheduled++
 		}
 		n.pendingEvents += int64(scheduled)
 		if n.flight != nil {
-			n.flight.OnSpike(t, i, forcedSet[i], vBefore, vAfter, n.ants[i])
+			n.flight.OnSpike(t, i, forced, vBefore, vAfter, n.ants[i])
 		}
 	}
 	if n.flight != nil {
@@ -520,7 +580,7 @@ func (n *Network) step(t int64, b *bucket) bool {
 		}
 	}
 	if n.probe != nil {
-		n.probe.OnStep(t, len(fired), len(b.deliveries), len(n.touched), int(n.pendingEvents))
+		n.probe.OnStep(t, len(fired), len(b.deliveries), len(touched), int(n.pendingEvents))
 	}
 	return terminal
 }
@@ -558,8 +618,10 @@ func (n *Network) Params(i int) Neuron { return n.neurons[i] }
 
 // OutSynapses returns copies of neuron i's outgoing synapses.
 func (n *Network) OutSynapses(i int) []SynapseInfo {
-	out := make([]SynapseInfo, len(n.out[i]))
-	for k, s := range n.out[i] {
+	n.compact()
+	row := n.fanout(int32(i))
+	out := make([]SynapseInfo, len(row))
+	for k, s := range row {
 		out[k] = SynapseInfo{To: int(s.to), Weight: s.weight, Delay: s.delay}
 	}
 	return out
@@ -570,9 +632,8 @@ func (n *Network) OutSynapses(i int) []SynapseInfo {
 // consumed by Run.
 func (n *Network) InducedSpikes() map[int64][]int {
 	out := make(map[int64][]int)
-	//lint:deterministic builds a keyed map from a map; per-key, order-independent
-	for t, b := range n.pending {
-		for _, i := range b.forced {
+	for _, t := range n.times {
+		for _, i := range n.buckets[n.lookup(t)].forced {
 			out[t] = append(out[t], int(i))
 		}
 	}
@@ -645,12 +706,12 @@ func (n *Network) Reset() {
 		n.firstSpike[i] = -1
 		n.firstCause[i] = -1
 		n.touchedAt[i] = -1
+		n.forcedAt[i] = -1
 		if n.cfg.Record {
 			n.spikeLog[i] = nil
 		}
 	}
-	n.pending = make(map[int64]*bucket)
-	n.times = n.times[:0]
+	n.clearQueue()
 	n.now = 0
 	n.gen = 0
 	n.stats = Stats{}

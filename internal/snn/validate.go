@@ -3,7 +3,7 @@ package snn
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Static network verification: the no-simulation structural checks a
@@ -79,22 +79,20 @@ func Validate(n *Network) []Violation {
 // spec flattens the network into the neutral structural description the
 // shared checks operate on (also the parse target of ReadNetlist).
 func (n *Network) spec() *netSpec {
+	n.compact()
 	s := &netSpec{cfg: n.cfg, neurons: n.neurons}
-	for from := range n.out {
-		for _, syn := range n.out[from] {
+	s.synapses = make([]specSynapse, 0, len(n.syn))
+	for from := int32(0); int(from) < len(n.neurons); from++ {
+		for _, syn := range n.fanout(from) {
 			s.synapses = append(s.synapses, specSynapse{
-				From: from, To: int(syn.to), Weight: syn.weight, Delay: syn.delay,
+				From: int(from), To: int(syn.to), Weight: syn.weight, Delay: syn.delay,
 			})
 		}
 	}
-	times := make([]int64, 0, len(n.pending))
-	//lint:deterministic keys are collected here and sorted below
-	for t := range n.pending {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	times := slices.Clone(n.times)
+	slices.Sort(times)
 	for _, t := range times {
-		for _, id := range n.pending[t].forced {
+		for _, id := range n.buckets[n.lookup(t)].forced {
 			s.induced = append(s.induced, specInduced{Time: t, Neuron: int(id)})
 		}
 	}

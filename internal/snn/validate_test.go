@@ -17,6 +17,12 @@ func validNet() *Network {
 	return n
 }
 
+// syn0 returns neuron 0's first synapse in the compacted CSR layout.
+func syn0(n *Network) *synapse {
+	n.compact()
+	return &n.syn[n.off[0]]
+}
+
 func kinds(vs []Violation) map[string]int {
 	out := map[string]int{}
 	for _, v := range vs {
@@ -37,16 +43,16 @@ func TestValidateCatchesInvariantBreaks(t *testing.T) {
 		mutate func(*Network)
 		kind   string
 	}{
-		{"delay-zero", func(n *Network) { n.out[0][0].delay = 0 }, "delay-min"},
-		{"delay-negative", func(n *Network) { n.out[0][0].delay = -7 }, "delay-min"},
+		{"delay-zero", func(n *Network) { syn0(n).delay = 0 }, "delay-min"},
+		{"delay-negative", func(n *Network) { syn0(n).delay = -7 }, "delay-min"},
 		{"decay-high", func(n *Network) { n.neurons[0].Decay = 1.5 }, "decay-range"},
 		{"decay-negative", func(n *Network) { n.neurons[1].Decay = -0.25 }, "decay-range"},
 		{"reset-at-threshold", func(n *Network) { n.neurons[0].Reset = n.neurons[0].Threshold }, "self-fire"},
 		{"reset-above-threshold", func(n *Network) { n.neurons[0].Reset = 9 }, "self-fire"},
-		{"endpoint-out-of-range", func(n *Network) { n.out[0][0].to = 99 }, "endpoint"},
+		{"endpoint-out-of-range", func(n *Network) { syn0(n).to = 99 }, "endpoint"},
 		{"nan-decay", func(n *Network) { n.neurons[0].Decay = math.NaN() }, "nonfinite"},
 		{"inf-threshold", func(n *Network) { n.neurons[1].Threshold = math.Inf(1) }, "nonfinite"},
-		{"nan-weight", func(n *Network) { n.out[0][0].weight = math.NaN() }, "nonfinite"},
+		{"nan-weight", func(n *Network) { syn0(n).weight = math.NaN() }, "nonfinite"},
 		{"terminal-out-of-range", func(n *Network) { n.terminals[0] = 42 }, "terminal-range"},
 	}
 	for _, c := range cases {
