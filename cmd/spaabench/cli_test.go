@@ -11,7 +11,7 @@ import (
 // error exit (1), never a panic, on every subcommand that generates a
 // graph.RandomGnm instance from -n/-m/-u.
 func TestBadGraphSizeErrors(t *testing.T) {
-	for _, cmd := range []string{"sssp", "raster", "timeline", "why"} {
+	for _, cmd := range []string{"sssp", "raster", "timeline", "why", "gen", "dot", "congest"} {
 		for _, flags := range [][]string{
 			{"-n", "0", "-m", "0"},
 			{"-n", "8", "-m", "-1"},
@@ -42,6 +42,13 @@ func TestBadGraphSizeErrors(t *testing.T) {
 		{"faults", "-n", "0", "-m", "0"},
 		{"why", "-src", "64", "-dst", "3"},
 		{"why", "-dst", "64"},
+		{"gen", "-n", "-1"},
+		{"gen", "-n", "5", "-m", "-3"},
+		{"gen", "-kind", "ring", "-n", "0"},
+		{"gen", "-kind", "complete", "-n", "3", "-u", "0"},
+		{"dot", "-n", "0"},
+		{"dot", "-dst", "50"},
+		{"congest", "-n", "0"},
 	} {
 		t.Run(strings.Join(argv, " "), func(t *testing.T) {
 			defer func() {
@@ -56,18 +63,16 @@ func TestBadGraphSizeErrors(t *testing.T) {
 	}
 }
 
-// TestOutputDirsCreated: -out and -write-baseline create a missing
-// nested directory instead of failing on the first manifest write.
+// TestOutputDirsCreated: -out creates a missing nested directory
+// instead of failing on the first manifest write.
 func TestOutputDirsCreated(t *testing.T) {
 	root := t.TempDir()
 	for _, c := range []struct {
 		argv []string
 		file string
 	}{
-		{[]string{"perf", "-tier", "smoke", "-deterministic", "-out"}, perfBaselineFile("sssp_random_2k")},
-		{[]string{"perf", "-tier", "smoke", "-deterministic", "-write-baseline"}, perfBaselineFile("sssp_random_2k")},
-		{[]string{"energy", "-cases", "sssp_random_256", "-deterministic", "-out"}, energyBaselineFile("sssp_random_256")},
-		{[]string{"energy", "-cases", "sssp_random_256", "-deterministic", "-write-baseline"}, energyBaselineFile("sssp_random_256")},
+		{[]string{"perf", "-tier", "smoke", "-deterministic", "-out"}, "BENCH_perf_sssp_random_2k.json"},
+		{[]string{"energy", "-cases", "sssp_random_256", "-deterministic", "-out"}, "BENCH_energy_sssp_random_256.json"},
 	} {
 		dir := filepath.Join(root, c.argv[0]+c.argv[len(c.argv)-1], "a", "b")
 		argv := append(append([]string{}, c.argv...), dir)

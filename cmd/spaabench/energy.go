@@ -3,35 +3,23 @@ package main
 import (
 	"flag"
 	"fmt"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/telemetry"
 )
-
-// energyBaselineFile names the committed baseline manifest of a case.
-func energyBaselineFile(name string) string {
-	return "BENCH_energy_" + name + ".json"
-}
 
 // cmdEnergy runs the energy sweep — every registered case executes its
 // workload, prices it from the run's snn.Stats, and prices a classic
-// comparator on the same instance — and compares each spaa-energy/v1
-// section against its committed BENCH_energy_<case>.json baseline.
-// Every quantity in the section is an integral function of the seed and
-// the Table 3 tariffs, so the default tolerance is exact; -gate turns
-// any drift into a nonzero exit, and -tariff-scale is the CI negative
-// test proving the gate trips when the tariff figures move.
+// comparator on the same instance — and prints the advantage table.
+// With -out it writes each case's manifest as BENCH_energy_<case>.json
+// (the committed baselines, regenerated under -deterministic);
+// `spaabench regress` re-runs and gates them.
 func cmdEnergy(args []string) error {
 	fs := flag.NewFlagSet("energy", flag.ExitOnError)
 	caseList := fs.String("cases", "", "comma-separated case names (default: all registered cases)")
-	baselineDir := fs.String("baseline-dir", ".", "directory holding BENCH_energy_<case>.json baselines")
-	writeBaseline := fs.String("write-baseline", "", "write fresh manifests as baselines into this directory and exit")
-	out := fs.String("out", "", "also write fresh manifests into this directory")
-	gate := fs.Bool("gate", false, "exit nonzero when any case drifts from its baseline")
-	tol := fs.Float64("tol", 0, "relative tolerance for workload-derived quantities (0 = exact; tariffs always compare exactly)")
+	out := fs.String("out", "", "write each manifest as BENCH_energy_<case>.json into this directory")
 	deterministic := fs.Bool("deterministic", false, "zero wall-clock fields (byte-reproducible manifests; baselines are written this way)")
-	tariffScale := fs.Int64("tariff-scale", 0, "scale every tariff by this many milli-units (1000 = verbatim; negative test for the gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,51 +37,17 @@ func cmdEnergy(args []string) error {
 		cases = harness.EnergyCases
 	}
 
-	if err := makeOutputDirs(*writeBaseline, *out); err != nil {
-		return err
-	}
-	opts := harness.EnergyOptions{Deterministic: *deterministic, TariffScaleMilli: *tariffScale}
-	var deltas []*harness.EnergyDelta
+	var mans []*telemetry.Manifest
 	for _, c := range cases {
-		man, err := harness.RunEnergyCase(c, opts)
+		man, err := harness.RunEnergyCase(c, harness.EnergyOptions{Deterministic: *deterministic})
 		if err != nil {
 			return err
 		}
-		if *writeBaseline != "" {
-			path := filepath.Join(*writeBaseline, energyBaselineFile(c.Name))
-			if err := man.WriteFile(path); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-			continue
-		}
-		if *out != "" {
-			if err := man.WriteFile(filepath.Join(*out, energyBaselineFile(c.Name))); err != nil {
-				return err
-			}
-		}
-		base, err := readPerfBaseline(filepath.Join(*baselineDir, energyBaselineFile(c.Name)))
-		if err != nil {
+		if err := writeBaseline(*out, man); err != nil {
 			return err
 		}
-		deltas = append(deltas, harness.CompareEnergy(c.Name, base, man, *tol))
+		mans = append(mans, man)
 	}
-	if *writeBaseline != "" {
-		return nil
-	}
-
-	fmt.Print(harness.RenderEnergyTable(deltas))
-	var failed []string
-	for _, d := range deltas {
-		if !d.OK() {
-			failed = append(failed, d.Name)
-			for _, drift := range d.Drifts {
-				fmt.Printf("  %s: %s\n", d.Name, drift)
-			}
-		}
-	}
-	if *gate && len(failed) > 0 {
-		return fmt.Errorf("energy gate failed: %s", strings.Join(failed, ", "))
-	}
+	fmt.Print(harness.RenderEnergyTable(mans))
 	return nil
 }

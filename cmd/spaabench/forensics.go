@@ -199,8 +199,24 @@ func readManifestFile(path string) (*telemetry.Manifest, error) {
 
 // rerunBaseline re-executes the workload a baseline manifest describes
 // through the shared runner for its command and returns the fresh
-// manifest.
+// manifest. Registry baselines name their case in the command
+// ("perf:<case>", "energy:<case>") and re-run through the harness
+// registry; the rest re-run through the CLI's own runners.
 func rerunBaseline(base *telemetry.Manifest) (*telemetry.Manifest, error) {
+	switch kind, name, _ := strings.Cut(base.Command, ":"); kind {
+	case "perf":
+		c, ok := harness.PerfCaseByName(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown perf case %q", name)
+		}
+		return harness.RunPerfCase(c, harness.PerfOptions{Deterministic: true})
+	case "energy":
+		c, ok := harness.EnergyCaseByName(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown energy case %q", name)
+		}
+		return harness.RunEnergyCase(c, harness.EnergyOptions{Deterministic: true})
+	}
 	// deterministic: regress compares counters, not wall clocks; a
 	// re-run manifest must be byte-stable modulo the measured series.
 	o := &obs{force: true, deterministic: true}
@@ -238,7 +254,7 @@ func rerunBaseline(base *telemetry.Manifest) (*telemetry.Manifest, error) {
 			SkipMovement: cfgBool(base, "skip_movement"),
 		})
 	default:
-		return nil, fmt.Errorf("regress cannot re-run command %q (supported: sssp, congest, table1)", base.Command)
+		return nil, fmt.Errorf("regress cannot re-run command %q (supported: sssp, congest, table1, perf:<case>, energy:<case>)", base.Command)
 	}
 	return o.manifest(), nil
 }

@@ -157,8 +157,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "observability (sssp, table1, flow, congest, fleet, timeline): -metrics out.json [-deterministic] -trace out.json -cpuprofile out.pprof -memprofile out.pprof")
 	fmt.Fprintln(os.Stderr, "forensics: why -dst N [-save log.jsonl] | replay log.jsonl | regress [-tol 0.02] BENCH_*.json")
 	fmt.Fprintln(os.Stderr, "live: serve [-addr 127.0.0.1:9090] [-preload 'BENCH_*.json'] | soak [-workers 8] [-iters 16] [-mix sssp,congest,fleet,table1] [-addr http://127.0.0.1:9090]")
-	fmt.Fprintln(os.Stderr, "perf: perf [-tier smoke|small|large|all] [-cases a,b] [-baseline-dir .] [-gate] [-tol 0] [-wall-tol 0.5] [-deterministic] [-write-baseline DIR] [-out DIR] [-slowdown-ms 0]")
-	fmt.Fprintln(os.Stderr, "energy: energy [-cases a,b] [-baseline-dir .] [-gate] [-tol 0] [-deterministic] [-write-baseline DIR] [-out DIR] [-tariff-scale 1000]")
+	fmt.Fprintln(os.Stderr, "perf: perf [-tier smoke|small|large|all] [-cases a,b] [-deterministic] [-out DIR]")
+	fmt.Fprintln(os.Stderr, "energy: energy [-cases a,b] [-deterministic] [-out DIR]")
 }
 
 func parseInts(s string) ([]int, error) {
@@ -375,6 +375,13 @@ func cmdGen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	edges := *m // only the random kind reads -m
+	if *kind != "random" {
+		edges = 0
+	}
+	if err := checkGnm(*n, edges, *u); err != nil {
+		return err
+	}
 	var g *graph.Graph
 	dist := graph.Uniform(*u)
 	switch *kind {
@@ -494,6 +501,9 @@ func cmdCongest(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkGnm(*n, *m, *u); err != nil {
+		return err
+	}
 	if err := o.begin("congest"); err != nil {
 		return err
 	}
@@ -514,6 +524,12 @@ func cmdDOT(args []string) error {
 	seed := fs.Int64("seed", 1, "seed")
 	dst := fs.Int("dst", -1, "highlight shortest path to this vertex")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkGnm(*n, *m, *u); err != nil {
+		return err
+	}
+	if err := checkVertices(*n, 0, *dst); err != nil {
 		return err
 	}
 	g := graph.RandomGnm(*n, *m, graph.Uniform(*u), *seed, true)

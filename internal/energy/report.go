@@ -47,7 +47,7 @@ const (
 // Report is the spaa-energy/v1 manifest section. Every field is an
 // integral function of the seeded workload and the Table 3 tariffs —
 // no wall-clock data exists anywhere in it, so it is byte-reproducible
-// by construction and compared exactly by the energy gate (unlike
+// by construction and compared exactly by `spaabench regress` (unlike
 // spaa-perf/v1, which needs its wall half zeroed).
 type Report struct {
 	Schema string `json:"schema"`
@@ -176,10 +176,14 @@ func (r *Report) BestAdvantageMilli() int64 {
 }
 
 // FormatAdvantage renders an integral milli-advantage for tables:
-// "8139.5x", or "-" for the unpublished-tariff case.
+// "8139.5x", "0.097x" below 1× (where one decimal would round a real
+// CPU win to "0.0x"), or "-" for the unpublished-tariff case.
 func FormatAdvantage(advMilli int64) string {
-	if advMilli <= 0 {
+	switch {
+	case advMilli <= 0:
 		return "-"
+	case advMilli < 1000:
+		return fmt.Sprintf("0.%03dx", advMilli)
 	}
 	return fmt.Sprintf("%d.%01dx", advMilli/1000, (advMilli%1000)/100)
 }

@@ -19,7 +19,7 @@ import (
 // manifest carries the spaa-energy/v1 section — integral
 // millipicojoules, wall-free by construction — so the committed
 // BENCH_energy_<name>.json baselines are byte-reproducible and the
-// `spaabench energy -gate` comparison is exact by default.
+// `spaabench regress` comparison is exact by default.
 
 // EnergyCase names one workload of the energy sweep.
 type EnergyCase struct {
@@ -63,36 +63,16 @@ type EnergyOptions struct {
 	// runs of the same case byte-identical (the energy section needs no
 	// zeroing — it is wall-free by construction).
 	Deterministic bool
-	// TariffScaleMilli scales every platform tariff by scale/1000
-	// (0 or 1000 = Table 3 verbatim). CI's negative test perturbs it to
-	// prove the gate actually trips on tariff drift.
-	TariffScaleMilli int64
-}
-
-// tariffs returns the platform tariff set under the option's scale.
-func (o EnergyOptions) tariffs() []energy.Tariff {
-	ts := energy.Tariffs()
-	if o.TariffScaleMilli > 0 && o.TariffScaleMilli != 1000 {
-		for i := range ts {
-			ts[i].SpikeMilliPJ = ts[i].SpikeMilliPJ * o.TariffScaleMilli / 1000
-			ts[i].DeliveryMilliPJ = ts[i].DeliveryMilliPJ * o.TariffScaleMilli / 1000
-			ts[i].IdleStepMilliPJ = ts[i].IdleStepMilliPJ * o.TariffScaleMilli / 1000
-		}
-	}
-	return ts
 }
 
 // RunEnergyCase executes one energy case and returns its manifest with
 // the spaa-energy/v1 section populated: the spiking side priced from
 // the run's snn.Stats plus the netlist's load events, the classic
 // comparator's operations counted on the same seeded instance, both
-// under the option's tariffs.
+// under the Table 3 tariffs.
 func RunEnergyCase(c EnergyCase, opts EnergyOptions) (*telemetry.Manifest, error) {
 	man := telemetry.NewManifest("spaabench", "energy:"+c.Name)
 	man.SetConfig("kind", c.Kind)
-	if opts.TariffScaleMilli > 0 && opts.TariffScaleMilli != 1000 {
-		man.SetConfig("tariff_scale_milli", opts.TariffScaleMilli)
-	}
 	//lint:wallclock manifest wall time is zeroed downstream under -deterministic
 	start := time.Now()
 
@@ -152,7 +132,7 @@ func RunEnergyCase(c EnergyCase, opts EnergyOptions) (*telemetry.Manifest, error
 	}
 
 	man.Energy = energy.NewReport(stats.Spikes, stats.Deliveries, loadEvents, idleSteps,
-		stats.Steps, classicOps, opts.tariffs())
+		stats.Steps, classicOps, energy.Tariffs())
 	//lint:wallclock manifest wall time is zeroed downstream under -deterministic
 	man.Finalize(start, time.Since(start), telemetry.ManifestOptions{Deterministic: opts.Deterministic})
 	return man, nil
@@ -205,7 +185,7 @@ func EnergySection(seed int64) string {
 }
 
 // distChecksum sums the finite distances (the result-integrity counter
-// the energy gate compares alongside the joule totals).
+// `spaabench regress` compares alongside the joule totals).
 func distChecksum(dist []int64) int64 {
 	var sum int64
 	for _, d := range dist {
@@ -216,57 +196,26 @@ func distChecksum(dist []int64) int64 {
 	return sum
 }
 
-// EnergyDelta is the comparison of one fresh case run against its
-// baseline.
-type EnergyDelta struct {
-	Name        string
-	Base, Fresh *telemetry.Manifest
-	// Drifts lists quantities outside tolerance (every energy field is
-	// wall-free, so all of them are comparable).
-	Drifts []telemetry.Drift
-	// MissingBaseline reports that no baseline manifest was supplied.
-	MissingBaseline bool
-}
-
-// OK reports whether the fresh run is within tolerance of its baseline.
-func (d *EnergyDelta) OK() bool {
-	return !d.MissingBaseline && len(d.Drifts) == 0
-}
-
-// CompareEnergy diffs a fresh case manifest against its baseline under
-// the relative tolerance (zero demands byte-exact agreement — the
-// default, since every energy quantity is seed-determined).
-func CompareEnergy(name string, base, fresh *telemetry.Manifest, tol float64) *EnergyDelta {
-	d := &EnergyDelta{Name: name, Base: base, Fresh: fresh}
-	if base == nil {
-		d.MissingBaseline = true
-		return d
-	}
-	d.Drifts = telemetry.DiffManifests(base, fresh, telemetry.Tolerance{Rel: tol})
-	return d
-}
-
-// RenderEnergyTable formats deltas as the `spaabench energy` advantage
-// table: one row per case with both sides' energy in microjoules, the
-// build/wavefront phase split of the spiking total (reference tariff),
-// the per-platform advantage columns (— for platforms without a
-// published tariff), and the verdict.
-func RenderEnergyTable(deltas []*EnergyDelta) string {
+// RenderEnergyTable formats case manifests as the `spaabench energy`
+// advantage table: one row per case with both sides' energy in
+// microjoules, the build/wavefront phase split of the spiking total
+// (reference tariff), and the per-platform advantage columns ("-" for
+// platforms without a published tariff).
+func RenderEnergyTable(mans []*telemetry.Manifest) string {
 	names := energy.PlatformNames()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %14s %14s %17s", "case", "classic µJ", "spiking µJ", "build/wave µJ")
 	for _, n := range names {
 		fmt.Fprintf(&b, " %12s", n)
 	}
-	fmt.Fprintf(&b, "  %s\n", "status")
-	for _, d := range deltas {
+	b.WriteString("\n")
+	for _, m := range mans {
 		classicUJ, spikingUJ, phaseUJ := "-", "-", "-"
 		adv := make([]string, len(names))
 		for i := range adv {
 			adv[i] = "-"
 		}
-		if d.Fresh != nil && d.Fresh.Energy != nil {
-			r := d.Fresh.Energy
+		if r := m.Energy; r != nil {
 			classicUJ = fmt.Sprintf("%.3f", energy.JoulesFromMilliPJ(r.ClassicMilliPJ)*1e6)
 			if ref := r.ReferenceMilliPJ(); ref > 0 {
 				spikingUJ = fmt.Sprintf("%.3f", energy.JoulesFromMilliPJ(ref)*1e6)
@@ -282,18 +231,11 @@ func RenderEnergyTable(deltas []*EnergyDelta) string {
 				}
 			}
 		}
-		status := "ok"
-		switch {
-		case d.MissingBaseline:
-			status = "NO BASELINE"
-		case len(d.Drifts) > 0:
-			status = fmt.Sprintf("DRIFT (%d)", len(d.Drifts))
-		}
-		fmt.Fprintf(&b, "%-18s %14s %14s %17s", d.Name, classicUJ, spikingUJ, phaseUJ)
+		fmt.Fprintf(&b, "%-18s %14s %14s %17s", strings.TrimPrefix(m.Command, "energy:"), classicUJ, spikingUJ, phaseUJ)
 		for _, a := range adv {
 			fmt.Fprintf(&b, " %12s", a)
 		}
-		fmt.Fprintf(&b, "  %s\n", status)
+		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -11,21 +11,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Perf benchmark tier: named, seeded SSSP workloads whose manifests are
-// committed as BENCH_perf_<name>.json baselines and tracked run over run
-// by `spaabench perf`. Each case runs the full vertical — graph
-// generation + netlist build (phase "build"), spiking simulation
-// (phase "run"), result digestion (phase "report") — under a
-// perf.Tracker, so the manifest's spaa-perf/v1 section carries both the
-// seed-determined counters the gate compares exactly and the wall-clock
-// rates the trend table displays.
+// Perf benchmark tier: named, seeded SSSP workloads whose manifests
+// `spaabench perf -out` writes as the committed BENCH_perf_<name>.json
+// baselines and `spaabench regress` re-runs and gates. Each case runs
+// the full vertical — graph generation + netlist build (phase "build"),
+// spiking simulation (phase "run"), result digestion (phase "report") —
+// under a perf.Tracker, so the manifest's spaa-perf/v1 section carries
+// both the seed-determined counters the gate compares exactly and the
+// wall-clock rates the trend table displays.
 
 // PerfCase names one benchmark workload.
 type PerfCase struct {
 	// Name keys the case and its BENCH_perf_<Name>.json baseline.
 	Name string
-	// Tier groups cases by scale: "smoke" (CI negative test), "small"
-	// (CI gate, ~10^5 vertices), "large" (local trend tracking).
+	// Tier groups cases by scale: "smoke" (~10^3 vertices, fast enough
+	// for unit tests), "small" (~10^5 vertices), "large" (10^6).
 	Tier string
 	// Kind selects the generator: "random" (connected Gnm), "grid"
 	// (2D lattice), "scalefree" (preferential attachment).
@@ -100,9 +100,6 @@ type PerfOptions struct {
 	// of the same case byte-identical — the mode baselines are written
 	// in.
 	Deterministic bool
-	// SlowdownMS injects an artificial sleep into the "run" phase — the
-	// CI negative test uses it to prove the wall band actually trips.
-	SlowdownMS int
 }
 
 // RunPerfCase executes one benchmark case and returns its manifest with
@@ -126,9 +123,6 @@ func RunPerfCase(c PerfCase, opts PerfOptions) (*telemetry.Manifest, error) {
 	res, err := net.Run(0, -1)
 	if err != nil {
 		return nil, fmt.Errorf("harness: perf case %s: %w", c.Name, err)
-	}
-	if opts.SlowdownMS > 0 {
-		time.Sleep(time.Duration(opts.SlowdownMS) * time.Millisecond)
 	}
 
 	tracker.Phase("report")
@@ -154,92 +148,25 @@ func RunPerfCase(c PerfCase, opts PerfOptions) (*telemetry.Manifest, error) {
 	return man, nil
 }
 
-// PerfTolerance bounds the accepted baseline deviation.
-type PerfTolerance struct {
-	// Rel is the relative band for counter-derived quantities, passed to
-	// telemetry.DiffManifests (zero demands exact equality —
-	// counter-derived fields are seed-determined, so zero is the
-	// default).
-	Rel float64
-	// Wall is the accepted relative slowdown of total wall time against
-	// the baseline (0.5 accepts up to 1.5× the baseline). Applied only
-	// when both manifests carry nonzero wall measurements — baselines
-	// written with -deterministic have none, so the wall band is then
-	// vacuously satisfied.
-	Wall float64
-}
-
-// PerfDelta is the comparison of one fresh case run against its
-// baseline.
-type PerfDelta struct {
-	Name        string
-	Base, Fresh *telemetry.Manifest
-	// Drifts lists counter-derived quantities outside tolerance.
-	Drifts []telemetry.Drift
-	// WallViolation reports the fresh run exceeding the wall band.
-	WallViolation bool
-	// MissingBaseline reports that no baseline manifest was supplied.
-	MissingBaseline bool
-}
-
-// OK reports whether the fresh run is within tolerance of its baseline.
-func (d *PerfDelta) OK() bool {
-	return !d.MissingBaseline && !d.WallViolation && len(d.Drifts) == 0
-}
-
-// ComparePerf diffs a fresh case manifest against its baseline:
-// counter-derived fields through telemetry.DiffManifests under tol.Rel,
-// total wall time within the tol.Wall band when both sides measured it.
-func ComparePerf(name string, base, fresh *telemetry.Manifest, tol PerfTolerance) *PerfDelta {
-	d := &PerfDelta{Name: name, Base: base, Fresh: fresh}
-	if base == nil {
-		d.MissingBaseline = true
-		return d
-	}
-	d.Drifts = telemetry.DiffManifests(base, fresh, telemetry.Tolerance{Rel: tol.Rel})
-	if base.Perf != nil && fresh.Perf != nil &&
-		base.Perf.WallMS > 0 && fresh.Perf.WallMS > 0 &&
-		fresh.Perf.WallMS > base.Perf.WallMS*(1+tol.Wall) {
-		d.WallViolation = true
-	}
-	return d
-}
-
-// RenderPerfTrend formats deltas as the `spaabench perf` trend table:
-// one row per case with the counter-derived totals, the wall times on
-// both sides, and the verdict.
-func RenderPerfTrend(deltas []*PerfDelta) string {
+// RenderPerfTrend formats case manifests as the `spaabench perf` trend
+// table: one row per case with the counter-derived totals and the
+// measured wall time ("-" under -deterministic). Gating lives in
+// `spaabench regress`.
+func RenderPerfTrend(mans []*telemetry.Manifest) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %12s %14s %10s %12s %12s  %s\n",
-		"case", "steps", "deliveries", "del/step", "base ms", "fresh ms", "status")
-	for _, d := range deltas {
-		steps, deliveries, ratio := "-", "-", "-"
-		baseMS, freshMS := "-", "-"
-		if d.Fresh != nil && d.Fresh.Perf != nil {
-			p := d.Fresh.Perf
+	fmt.Fprintf(&b, "%-22s %12s %14s %10s %12s\n", "case", "steps", "deliveries", "del/step", "wall ms")
+	for _, m := range mans {
+		steps, deliveries, ratio, wallMS := "-", "-", "-", "-"
+		if p := m.Perf; p != nil {
 			steps = fmt.Sprintf("%d", p.Steps)
 			deliveries = fmt.Sprintf("%d", p.Deliveries)
 			ratio = fmt.Sprintf("%d.%03d", p.DeliveriesPerStepMilli/1000, p.DeliveriesPerStepMilli%1000)
 			if p.WallMS > 0 {
-				freshMS = fmt.Sprintf("%.1f", p.WallMS)
+				wallMS = fmt.Sprintf("%.1f", p.WallMS)
 			}
 		}
-		if d.Base != nil && d.Base.Perf != nil && d.Base.Perf.WallMS > 0 {
-			baseMS = fmt.Sprintf("%.1f", d.Base.Perf.WallMS)
-		}
-		status := "ok"
-		switch {
-		case d.MissingBaseline:
-			status = "NO BASELINE"
-		case d.WallViolation && len(d.Drifts) > 0:
-			status = fmt.Sprintf("DRIFT (%d) + WALL", len(d.Drifts))
-		case d.WallViolation:
-			status = "WALL EXCEEDED"
-		case len(d.Drifts) > 0:
-			status = fmt.Sprintf("DRIFT (%d)", len(d.Drifts))
-		}
-		fmt.Fprintf(&b, "%-22s %12s %14s %10s %12s %12s  %s\n",
-			d.Name, steps, deliveries, ratio, baseMS, freshMS, status)
+		fmt.Fprintf(&b, "%-22s %12s %14s %10s %12s\n",
+			strings.TrimPrefix(m.Command, "perf:"), steps, deliveries, ratio, wallMS)
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -70,82 +71,26 @@ func TestRunPerfCaseShape(t *testing.T) {
 	}
 }
 
-// TestComparePerfGate: identical manifests pass; a counter drift or a
-// seeded slowdown past the wall band fails; a missing baseline fails.
-func TestComparePerfGate(t *testing.T) {
-	c := smokeCase(t)
-	base, err := RunPerfCase(c, PerfOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := RunPerfCase(c, PerfOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Generous wall band: two back-to-back runs of the same workload
-	// must gate clean.
-	if d := ComparePerf(c.Name, base, fresh, PerfTolerance{Wall: 10}); !d.OK() {
-		t.Errorf("identical-workload gate failed: drifts=%v wall=%v", d.Drifts, d.WallViolation)
-	}
-
-	// Counter drift: corrupt a seed-determined total.
-	bad, err := RunPerfCase(c, PerfOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Perf.Deliveries += 999
-	bad.Stats.Deliveries += 999
-	if d := ComparePerf(c.Name, base, bad, PerfTolerance{Wall: 10}); d.OK() {
-		t.Error("gate accepted corrupted delivery totals")
-	}
-
-	// Seeded slowdown: the wall band must trip even though every
-	// counter still matches.
-	slow, err := RunPerfCase(c, PerfOptions{SlowdownMS: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := ComparePerf(c.Name, base, slow, PerfTolerance{Wall: 0.5})
-	if !d.WallViolation {
-		t.Errorf("300ms seeded slowdown passed the 1.5x wall band (base %.1fms, slow %.1fms)",
-			base.Perf.WallMS, slow.Perf.WallMS)
-	}
-	if len(d.Drifts) != 0 {
-		t.Errorf("slowdown changed counter-derived fields: %v", d.Drifts)
-	}
-
-	if d := ComparePerf(c.Name, nil, fresh, PerfTolerance{}); d.OK() || !d.MissingBaseline {
-		t.Error("missing baseline not reported")
-	}
-
-	// Deterministic baselines carry no wall data: the band is vacuous,
-	// counters still gate.
-	detBase, err := RunPerfCase(c, PerfOptions{Deterministic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := ComparePerf(c.Name, detBase, slow, PerfTolerance{Wall: 0.1}); d.WallViolation {
-		t.Error("wall band applied against a deterministic (wall-less) baseline")
-	}
-}
-
-// TestRenderPerfTrend: the table renders one row per delta and flags
-// failures.
+// TestRenderPerfTrend: the table renders one row per manifest, keyed by
+// the case name, with "-" for the wall time a deterministic run zeroes.
 func TestRenderPerfTrend(t *testing.T) {
 	c := smokeCase(t)
 	man, err := RunPerfCase(c, PerfOptions{Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := ComparePerf(c.Name, man, man, PerfTolerance{})
-	missing := ComparePerf("ghost_case", nil, man, PerfTolerance{})
-	out := RenderPerfTrend([]*PerfDelta{ok, missing})
-	if !strings.Contains(out, c.Name) || !strings.Contains(out, "ok") {
-		t.Errorf("trend table missing passing row:\n%s", out)
+	bare := telemetry.NewManifest("spaabench", "perf:ghost_case")
+	out := RenderPerfTrend([]*telemetry.Manifest{man, bare})
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want header + 2 rows, got:\n%s", out)
 	}
-	if !strings.Contains(out, "NO BASELINE") {
-		t.Errorf("trend table missing baseline flag:\n%s", out)
+	row := strings.Fields(lines[1])
+	if row[0] != c.Name || row[1] != fmt.Sprint(man.Perf.Steps) || row[len(row)-1] != "-" {
+		t.Errorf("case row wrong: %q", lines[1])
+	}
+	if got := strings.Fields(lines[2]); got[0] != "ghost_case" || got[1] != "-" {
+		t.Errorf("row without a perf section wrong: %q", lines[2])
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nga"
 	"repro/internal/platform"
+	"repro/internal/telemetry"
 )
 
 // ExperimentsMarkdown runs every reproduction experiment and renders the
@@ -203,15 +204,15 @@ func ExperimentsMarkdown(cfg Table1Config, extra ...string) string {
 	w("same instance — the advantage curve the `BENCH_energy_*.json`\n")
 	w("baselines gate in CI:\n\n")
 	w("```\n")
-	var energyDeltas []*EnergyDelta
+	var energyMans []*telemetry.Manifest
 	for _, c := range EnergyCases {
 		man, err := RunEnergyCase(c, EnergyOptions{Deterministic: true})
 		if err != nil {
 			panic(fmt.Sprintf("harness: energy case %s: %v", c.Name, err))
 		}
-		energyDeltas = append(energyDeltas, CompareEnergy(c.Name, man, man, 0))
+		energyMans = append(energyMans, man)
 	}
-	w("%s", RenderEnergyTable(energyDeltas))
+	w("%s", RenderEnergyTable(energyMans))
 	w("```\n\n")
 
 	// ---- CONGEST bridge ----

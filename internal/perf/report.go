@@ -18,10 +18,10 @@ type PhaseReport struct {
 //
 //   - counter-derived (Steps … DeliveriesPerStepMilli): functions of the
 //     seeded workload alone, byte-stable across machines, compared
-//     exactly by the perf gate;
+//     exactly by `spaabench regress`;
 //   - wall-derived (WallMS, rates, per-phase times, alloc/GC deltas):
-//     real measurements that vary run to run, compared within a band and
-//     zeroed entirely under deterministic finalization.
+//     real measurements that vary run to run, never compared against a
+//     baseline and zeroed entirely under deterministic finalization.
 type Report struct {
 	Schema string `json:"schema"`
 

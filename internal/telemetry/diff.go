@@ -64,8 +64,9 @@ func (d Drift) String() string {
 //     fields only — steps, spikes, deliveries, queue high-water under
 //     the tolerance, deliveries/step exactly. Wall-derived perf fields
 //     (rates, phase times, alloc/GC deltas) are machine noise and are
-//     never compared here; harness.ComparePerf applies its separate
-//     wall band to them,
+//     never compared: no committed baseline stores them (perf baselines
+//     are written -deterministic), and wall time is gated by the
+//     perfbench module against the parent commit instead,
 //   - energy (when both sides carry the section): event totals, classic
 //     op count and totals under the tolerance; tariff figures
 //     (classic_op_millipj, per-platform delivery_millipj) exactly —
