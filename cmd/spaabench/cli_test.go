@@ -17,6 +17,8 @@ func TestBadGraphSizeErrors(t *testing.T) {
 			{"-n", "8", "-m", "-1"},
 			{"-n", "1", "-m", "3"},
 			{"-n", "8", "-m", "16", "-u", "0"},
+			{"-n", "8", "-m", "3000000000"},
+			{"-n", "3000000000", "-m", "16"},
 		} {
 			argv := append([]string{cmd}, flags...)
 			t.Run(strings.Join(argv, " "), func(t *testing.T) {

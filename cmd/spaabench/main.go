@@ -182,6 +182,8 @@ func checkGnm(n, m int, u int64) error {
 		return fmt.Errorf("-n must be >= 1, got %d", n)
 	case m < 0:
 		return fmt.Errorf("-m must be >= 0, got %d", m)
+	case n > graph.MaxEdges || m > graph.MaxEdges:
+		return fmt.Errorf("-n and -m must be <= %d, got %d and %d", graph.MaxEdges, n, m)
 	case n == 1 && m > 0:
 		return fmt.Errorf("-m must be 0 when -n is 1 (no self-loops), got %d", m)
 	case u < 1:

@@ -61,3 +61,21 @@ func TestBuildSSSPRejectsZeroLengths(t *testing.T) {
 	}()
 	BuildSSSP(g)
 }
+
+// TestRelayBuildAllocs: the relay builder connects in source order, so
+// its synapses land directly in the engine's CSR layout. Building and
+// compacting the network then costs the same allocation count at any
+// size; a staging slice growing with m, or a compaction copy, breaks that.
+func TestRelayBuildAllocs(t *testing.T) {
+	allocs := func(n, m int) float64 {
+		g := graph.RandomGnm(n, m, graph.Uniform(8), 1, true)
+		g.MaxDeg() // build the graph's own index outside the measurement
+		return testing.AllocsPerRun(20, func() {
+			BuildSSSP(g).rn.net.OutSynapses(0)
+		})
+	}
+	small, large := allocs(256, 1024), allocs(4096, 16384)
+	if small != large {
+		t.Fatalf("BuildSSSP+compaction allocs: n=256 %v, n=4096 %v; want equal", small, large)
+	}
+}

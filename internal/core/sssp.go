@@ -315,20 +315,26 @@ func newRelayNetwork(g *graph.Graph) *relayNetwork {
 	n := g.N()
 	net := snn.NewNetwork(snn.Config{Rule: snn.FireGTE})
 	net.Grow(n, n+g.M())
-	// Relay ids equal vertex ids; the lazy labeler costs nothing unless a
-	// provenance log asks for names.
+	// Relay ids equal vertex ids, so the synapses below are wired by
+	// vertex id; the lazy labeler costs nothing unless a provenance log
+	// asks for names.
 	net.SetLabeler(func(i int) string { return "v" + strconv.Itoa(i) })
 	relays := make([]int, n)
 	for v := 0; v < n; v++ {
 		relays[v] = net.AddNeuron(snn.Integrator(1))
 	}
+	// Synapses go in source order, so they land directly in the engine's
+	// CSR layout: each relay's self-loop, then its out-edges in edge-index
+	// order. That is each relay's fan-out order, which fixes FirstCause
+	// (and thus Pred) tie-breaks.
 	for v := 0; v < n; v++ {
 		// Fire-once: one inhibitory pulse outweighs every possible future
 		// excitation (at most indeg unit arrivals remain).
-		net.Connect(relays[v], relays[v], -float64(g.InDeg(v)+1), 1)
-	}
-	for _, e := range g.Edges() {
-		net.Connect(relays[e.From], relays[e.To], 1, e.Len)
+		net.Connect(v, v, -float64(g.InDeg(v)+1), 1)
+		for _, ei := range g.Out(v) {
+			e := g.Edge(int(ei))
+			net.Connect(v, e.To, 1, e.Len)
+		}
 	}
 	return &relayNetwork{net: net, relays: relays}
 }

@@ -38,7 +38,8 @@ func WriteDIMACS(w io.Writer, g *Graph, comment string) error {
 }
 
 // ReadDIMACS parses DIMACS .gr input. Arc lines beyond the declared m are
-// rejected; fewer arcs than declared is an error at EOF.
+// rejected; fewer arcs than declared is an error at EOF, and declared
+// sizes above MaxEdges are rejected outright.
 func ReadDIMACS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -69,6 +70,11 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 			if n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: negative sizes in %q", line)
 			}
+			if n > MaxEdges || m > MaxEdges {
+				return nil, fmt.Errorf("graph: sizes in %q exceed %d", line, MaxEdges)
+			}
+			// Arcs are appended as they are read, never pre-sized from
+			// the unverified declared m.
 			g = New(n)
 			declared = m
 		case 'a':

@@ -58,6 +58,9 @@ func TestDIMACSErrors(t *testing.T) {
 		"p sp 2 1\na 1 2 3\na 2 1 3\n", // too many arcs
 		"p sp 2 1\nq zzz\n",            // unknown line
 		"p sp -1 0\n",                  // negative n
+		"p sp 1099511627776 0\n",       // n beyond the int32 index range
+		"p sp 2 1099511627776\n",       // m beyond the int32 index range
+		"p sp 2 2000000000\n",          // huge declared m, no arc lines
 	}
 	for i, in := range cases {
 		if _, err := ReadDIMACS(strings.NewReader(in)); err == nil {

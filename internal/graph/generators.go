@@ -44,7 +44,11 @@ func RandomGnm(n, m int, dist LengthDist, seed int64, connect bool) *Graph {
 		panic("graph: RandomGnm needs n >= 1")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	size := m
+	if connect && n > 1 {
+		size = max(m, n-1)
+	}
+	g := newSized(n, max(size, 0))
 	if connect && n > 1 {
 		// Random arborescence: attach each vertex to a random earlier one.
 		perm := rng.Perm(n - 1)
@@ -81,7 +85,7 @@ func RandomGnm(n, m int, dist LengthDist, seed int64, connect bool) *Graph {
 // lengths from dist.
 func Complete(n int, dist LengthDist, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	g := newSized(n, max(n*(n-1), 0))
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v {
@@ -101,7 +105,7 @@ func Grid(rows, cols int, dist LengthDist, seed int64) *Graph {
 		panic("graph: Grid needs positive dimensions")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := New(rows * cols)
+	g := newSized(rows*cols, 2*(rows*(cols-1)+cols*(rows-1)))
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -126,7 +130,7 @@ func Ring(n int, dist LengthDist, seed int64) *Graph {
 		panic("graph: Ring needs n >= 1")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	g := newSized(n, n)
 	for v := 0; v < n; v++ {
 		g.AddEdge(v, (v+1)%n, dist.draw(rng))
 	}
@@ -139,7 +143,7 @@ func Path(n int, dist LengthDist, seed int64) *Graph {
 		panic("graph: Path needs n >= 1")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	g := newSized(n, n-1)
 	for v := 0; v+1 < n; v++ {
 		g.AddEdge(v, v+1, dist.draw(rng))
 	}
@@ -158,7 +162,7 @@ func Layered(layers, width int, dist LengthDist, seed int64) *Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	n := layers*width + 2
-	g := New(n)
+	g := newSized(n, 2*width+(layers-1)*width*width)
 	src, sink := 0, n-1
 	id := func(layer, i int) int { return 1 + layer*width + i }
 	for i := 0; i < width; i++ {
@@ -187,7 +191,7 @@ func PreferentialAttachment(n, deg int, dist LengthDist, seed int64) *Graph {
 		panic("graph: PreferentialAttachment needs positive parameters")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	g := newSized(n, 2*(n-1)*deg)
 	// targets is a degree-weighted multiset of earlier vertices.
 	targets := make([]int, 0, 2*n*deg)
 	targets = append(targets, 0)

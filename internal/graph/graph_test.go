@@ -376,16 +376,19 @@ func TestReadEdgeListComments(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
-		"",               // no header
-		"2",              // short header
-		"2 1\n0 1",       // short edge line
-		"2 1\n0 5 1",     // vertex out of range
-		"2 1\n0 1 -3",    // negative length
-		"2 2\n0 1 1\n",   // missing edge
-		"-1 0\n",         // negative n
-		"x y\n",          // garbage header
-		"2 1\nx y z\n",   // garbage edge
-		"1 1\n0 0 1\nxx", // trailing garbage is fine; loop stops after m
+		"",                  // no header
+		"2",                 // short header
+		"2 1\n0 1",          // short edge line
+		"2 1\n0 5 1",        // vertex out of range
+		"2 1\n0 1 -3",       // negative length
+		"2 2\n0 1 1\n",      // missing edge
+		"-1 0\n",            // negative n
+		"x y\n",             // garbage header
+		"2 1\nx y z\n",      // garbage edge
+		"1099511627776 0\n", // n beyond the int32 index range
+		"2 1099511627776\n", // m beyond the int32 index range
+		"2 2000000000\n",    // huge declared m, no edge lines
+		"1 1\n0 0 1\nxx",    // trailing garbage is fine; loop stops after m
 	}
 	for i, in := range cases {
 		_, err := ReadEdgeList(strings.NewReader(in))
@@ -409,7 +412,9 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("Validate accepted negative length")
 	}
 	g.edges[0].Len = 1
-	g.out[0], g.out[1] = g.out[1], g.out[0]
+	rows := outRows(g)
+	rows[0], rows[1] = rows[1], rows[0]
+	setOutRows(g, rows)
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted swapped adjacency")
 	}

@@ -28,7 +28,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the format written by WriteEdgeList.
+// ReadEdgeList parses the format written by WriteEdgeList. Header values
+// above MaxEdges are rejected.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -43,6 +44,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative header values %d %d", n, m)
 	}
+	if n > MaxEdges || m > MaxEdges {
+		return nil, fmt.Errorf("graph: header values %d %d exceed %d", n, m, MaxEdges)
+	}
+	// Edges are appended as they are read, never pre-sized from the
+	// unverified header m.
 	g := New(n)
 	for i := 0; i < m; i++ {
 		line, err := nextLine(sc)

@@ -35,7 +35,7 @@ func (g *Graph) Reachable(src int) []bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ei := range g.out[u] {
+		for _, ei := range g.Out(u) {
 			v := g.edges[ei].To
 			if !seen[v] {
 				seen[v] = true
@@ -59,7 +59,7 @@ func (g *Graph) HopDist(src int) []int64 {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, ei := range g.out[u] {
+		for _, ei := range g.Out(u) {
 			v := g.edges[ei].To
 			if dist[v] == Inf {
 				dist[v] = dist[u] + 1

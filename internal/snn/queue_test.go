@@ -1,15 +1,18 @@
 package snn
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // fuzzNetwork builds a random netlist from seed: mixed decay regimes,
 // inhibitory weights, delays 1..300. With extra it appends further
 // synapses after the base ones, the shape a Connect issued after a Run
-// produces once it is compacted.
-func fuzzNetwork(seed int64, rule FireRule, extra bool) *Network {
+// produces once it is compacted. It also returns every Connect call in
+// issue order, sources interleaved.
+func fuzzNetwork(seed int64, rule FireRule, extra bool) (*Network, []stagedSynapse) {
 	r := rand.New(rand.NewSource(seed))
 	net := NewNetwork(Config{Rule: rule, Record: true})
 	nn := r.Intn(12) + 2
@@ -24,17 +27,20 @@ func fuzzNetwork(seed int64, rule FireRule, extra bool) *Network {
 			net.AddNeuron(Neuron{Reset: 0, Threshold: th, Decay: 0.5})
 		}
 	}
+	var calls []stagedSynapse
 	connect := func(k int) {
 		for s := 0; s < k; s++ {
 			w := float64(r.Intn(7)) - 3
-			net.Connect(r.Intn(nn), r.Intn(nn), w, int64(r.Intn(300)+1))
+			s := stagedSynapse{from: int32(r.Intn(nn)), to: int32(r.Intn(nn)), weight: w, delay: int64(r.Intn(300) + 1)}
+			net.Connect(int(s.from), int(s.to), s.weight, s.delay)
+			calls = append(calls, s)
 		}
 	}
 	connect(r.Intn(4 * nn))
 	if extra {
 		connect(r.Intn(nn) + 1)
 	}
-	return net
+	return net, calls
 }
 
 // fuzzInduce schedules induced spikes both inside the ring window
@@ -90,10 +96,10 @@ func FuzzEngineVsDense(f *testing.F) {
 		}
 		const horizon = 1200
 
-		ev := fuzzNetwork(seed, rule, false)
+		ev, _ := fuzzNetwork(seed, rule, false)
 		fuzzInduce(ev, seed)
 		ev.Run(horizon)
-		dense := fuzzNetwork(seed, rule, false)
+		dense, _ := fuzzNetwork(seed, rule, false)
 		fuzzInduce(dense, seed)
 		if i := sameTrains(ev, dense.DenseRun(horizon)); i >= 0 {
 			t.Fatalf("seed %d rule %v: neuron %d diverges on the first run", seed, rule, i)
@@ -102,12 +108,13 @@ func FuzzEngineVsDense(f *testing.F) {
 		// Re-run after Reset with synapses added after the first run.
 		ev.Reset()
 		base := ev.Synapses()
-		for _, s := range fuzzNetwork(seed, rule, true).staged[base:] {
+		_, calls := fuzzNetwork(seed, rule, true)
+		for _, s := range calls[base:] {
 			ev.Connect(int(s.from), int(s.to), s.weight, s.delay)
 		}
 		fuzzInduce(ev, seed+1)
 		ev.Run(horizon)
-		dense = fuzzNetwork(seed, rule, true)
+		dense, _ = fuzzNetwork(seed, rule, true)
 		fuzzInduce(dense, seed+1)
 		if i := sameTrains(ev, dense.DenseRun(horizon)); i >= 0 {
 			t.Fatalf("seed %d rule %v: neuron %d diverges after Reset and re-compaction", seed, rule, i)
@@ -182,5 +189,37 @@ func TestConnectAfterRunResizesRing(t *testing.T) {
 				t.Fatalf("neuron %d spikes %v, want %v", i, got, w)
 			}
 		}
+	}
+}
+
+// TestSourceOrderConnectSkipsStaging: Connects issued in source order
+// write the CSR layout directly, without staging, and give every neuron
+// the same fan-out in the same order as the same calls with sources
+// interleaved. Trailing neurons without synapses get empty rows.
+func TestSourceOrderConnectSkipsStaging(t *testing.T) {
+	interleaved, calls := fuzzNetwork(3, FireGTE, true)
+	sorted := slices.Clone(calls)
+	slices.SortStableFunc(sorted, func(a, b stagedSynapse) int { return cmp.Compare(a.from, b.from) })
+	if slices.Equal(sorted, calls) {
+		t.Fatal("seed gives calls already in source order; pick another")
+	}
+	direct := NewNetwork(Config{})
+	for i := 0; i < interleaved.N(); i++ {
+		direct.AddNeuron(interleaved.Params(i))
+	}
+	direct.AddNeuron(Gate(1)) // a trailing neuron with no synapses
+	for _, s := range sorted {
+		direct.Connect(int(s.from), int(s.to), s.weight, s.delay)
+	}
+	if len(direct.staged) != 0 || direct.Synapses() != len(calls) {
+		t.Fatalf("source-order build staged %d of %d synapses", len(direct.staged), direct.Synapses())
+	}
+	for i := 0; i < interleaved.N(); i++ {
+		if got, want := direct.OutSynapses(i), interleaved.OutSynapses(i); !slices.Equal(got, want) {
+			t.Fatalf("neuron %d fan-out %v, want %v", i, got, want)
+		}
+	}
+	if got := direct.OutSynapses(interleaved.N()); len(got) != 0 {
+		t.Fatalf("trailing neuron has fan-out %v", got)
 	}
 }

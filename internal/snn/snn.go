@@ -36,17 +36,19 @@
 // to wall-clock simulated time. Voltage decay across skipped steps is
 // applied lazily and exactly.
 //
-// Synapses are stored in CSR (compressed sparse row) form: Connect
-// appends to one flat staging slice, and the first Run or structural read
-// compacts it into per-neuron offsets plus one synapse array with a
-// stable counting sort, so loading a graph is O(n+m) with a handful of
-// allocations and each neuron's fan-out keeps Connect order. Pending
-// events live in pooled, recycled time buckets ordered by a typed min-heap
-// of times; a bucket is found by time through a ring indexed by t mod W
-// (W the power of two above the largest delay under 2^17), and the
-// rare time at or beyond the window (huge delays, injector jitter,
-// far-future inputs) through a small far map. A warm network re-run after
-// Reset allocates nothing unless Config.Record keeps spike trains.
+// Synapses are stored in CSR (compressed sparse row) form: per-neuron
+// offsets plus one synapse array. A Connect in source order (from at or
+// after the last neuron that has synapses) writes straight into it; any
+// other Connect goes to a flat staging slice that the first Run or
+// structural read merges in with a stable counting sort. Loading a graph
+// is O(n+m) with a handful of allocations either way, and each neuron's
+// fan-out keeps Connect order. Pending events live in pooled, recycled
+// time buckets ordered by a typed min-heap of times; a bucket is found by
+// time through a ring indexed by t mod W (W the power of two above the
+// largest delay under 2^17), and the rare time at or beyond the window
+// (huge delays, injector jitter, far-future inputs) through a small far
+// map. A warm network re-run after Reset allocates nothing unless
+// Config.Record keeps spike trains.
 package snn
 
 import (
@@ -100,8 +102,8 @@ type synapse struct {
 	delay  int64
 }
 
-// stagedSynapse is a synapse added by Connect and not yet compacted into
-// the CSR layout; 24 bytes with no padding.
+// stagedSynapse is a synapse added by an out-of-source-order Connect and
+// not yet compacted into the CSR layout; 24 bytes with no padding.
 type stagedSynapse struct {
 	from, to int32
 	weight   float64
@@ -137,8 +139,11 @@ type Network struct {
 	neurons []Neuron
 
 	// Synapses in CSR form: neuron i's outgoing synapses are
-	// syn[off[i]:off[i+1]] in insertion order. Connect appends to staged;
-	// compact merges staged into off/syn before the next run or read.
+	// syn[off[i]:off[i+1]] in insertion order. Until compaction off may
+	// stop short of the last neurons (their rows are empty), and its last
+	// row is open: a source-order Connect appends to it. Any other Connect
+	// appends to staged; compact merges staged into off/syn before the
+	// next run or read.
 	off      []int32
 	syn      []synapse
 	staged   []stagedSynapse
@@ -234,7 +239,8 @@ func (n *Network) Grow(neurons, synapses int) {
 	if n.cfg.Record {
 		n.spikeLog = slices.Grow(n.spikeLog, neurons)
 	}
-	n.staged = slices.Grow(n.staged, synapses)
+	n.off = slices.Grow(n.off, neurons+1)
+	n.syn = slices.Grow(n.syn, synapses)
 }
 
 // SetProbe installs (or, with nil, removes) a per-step observer. Probing
@@ -291,6 +297,8 @@ func (n *Network) AddNeurons(k int, p Neuron) []int {
 }
 
 // Connect adds a synapse from -> to with the given weight and delay >= 1.
+// Builders that connect neurons in source order (all of neuron i's
+// synapses before neuron i+1's) fill the CSR layout directly.
 func (n *Network) Connect(from, to int, weight float64, delay int64) {
 	if from < 0 || from >= len(n.neurons) || to < 0 || to >= len(n.neurons) {
 		panic(fmt.Sprintf("snn: synapse (%d,%d) out of range [0,%d)", from, to, len(n.neurons)))
@@ -301,7 +309,16 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 	if math.IsNaN(weight) {
 		panic("snn: NaN synapse weight")
 	}
-	n.staged = append(n.staged, stagedSynapse{from: int32(from), to: int32(to), weight: weight, delay: delay})
+	if len(n.staged) == 0 && from >= len(n.off)-2 {
+		// Source order: open rows up to from, then extend the last one.
+		for len(n.off) < from+2 {
+			n.off = append(n.off, int32(len(n.syn)))
+		}
+		n.syn = append(n.syn, synapse{to: int32(to), weight: weight, delay: delay})
+		n.off[from+1]++
+	} else {
+		n.staged = append(n.staged, stagedSynapse{from: int32(from), to: int32(to), weight: weight, delay: delay})
+	}
 	if delay < ringCap && delay > n.maxDelay {
 		n.maxDelay = delay
 	}
@@ -309,13 +326,14 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 
 // compact merges the staged synapses into the CSR layout with a stable
 // counting sort: each neuron keeps its synapses in insertion order, with
-// any staged after a previous compaction following the compacted ones, so
-// delivery order (and thus FirstCause) is exactly Connect order. It also
-// sizes the event ring to the largest delay. Run and every structural
-// reader call it; it is a no-op once the layout is current.
+// staged ones following those already in the layout, so delivery order
+// (and thus FirstCause) is exactly Connect order. It then gives neurons
+// past the last row empty rows and sizes the event ring to the largest
+// delay. Run and every structural reader call it; it is a no-op once the
+// layout is current.
 func (n *Network) compact() {
 	nn := len(n.neurons)
-	if len(n.staged) > 0 || len(n.off) != nn+1 {
+	if len(n.staged) > 0 {
 		// off[i+1] counts neuron i's synapses, then holds its write
 		// cursor, and after placement ends where neuron i+1 starts.
 		off := make([]int32, nn+1)
@@ -339,6 +357,9 @@ func (n *Network) compact() {
 			off[s.from+1]++
 		}
 		n.off, n.syn, n.staged = off, syn, nil
+	}
+	for len(n.off) < nn+1 {
+		n.off = append(n.off, int32(len(n.syn)))
 	}
 	if w := ringSize(n.maxDelay); w != len(n.ring) {
 		n.resizeRing(w)
