@@ -65,6 +65,9 @@ func cmdChaos(args []string) error {
 		Model:            faults.Model{DropProb: *drop, Seed: *seed},
 		Seed:             *seed,
 	}
+	if err := cfg.Model.Check(); err != nil {
+		return flagError(err, map[string]string{"DropProb": "drop"})
+	}
 	if *deterministic {
 		cfg.Clock = &service.LogicalClock{}
 	}

@@ -9,7 +9,8 @@ import (
 
 // TestBadGraphSizeErrors: a graph size the generator cannot build is an
 // error exit (1), never a panic, on every subcommand that generates a
-// graph.RandomGnm instance from -n/-m/-u.
+// graph.RandomGnm instance from -n/-m/-u; so is an out-of-range vertex
+// or fault/cost parameter.
 func TestBadGraphSizeErrors(t *testing.T) {
 	for _, cmd := range []string{"sssp", "raster", "timeline", "why", "gen", "dot", "congest"} {
 		for _, flags := range [][]string{
@@ -51,6 +52,15 @@ func TestBadGraphSizeErrors(t *testing.T) {
 		{"dot", "-n", "0"},
 		{"dot", "-dst", "50"},
 		{"congest", "-n", "0"},
+		// Out-of-range fault-campaign and cost-model flags.
+		{"faults", "-trials", "0"},
+		{"faults", "-k", "0"},
+		{"faults", "-retries", "-1"},
+		{"faults", "-rates", "1.5"},
+		{"faults", "-jitter", "2"},
+		{"faults", "-upset-mag", "-1"},
+		{"chaos", "-drop", "2"},
+		{"crossover", "-n", "0"},
 	} {
 		t.Run(strings.Join(argv, " "), func(t *testing.T) {
 			defer func() {

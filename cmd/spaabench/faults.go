@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -80,6 +81,14 @@ func cmdFaults(args []string) error {
 		G: g, GraphSeed: *seed, GraphKind: "random", Src: *src,
 		Base: base, Rates: rateList, Trials: *trials, K: *k, Retries: *retries,
 	}
+	if err := cfg.Check(); err != nil {
+		return flagError(err, map[string]string{
+			"Trials": "trials", "K": "k", "Retries": "retries", "DropProb": "rates",
+			"JitterProb": "jitter", "JitterMax": "jitter-max", "WeightNoise": "wnoise",
+			"StuckSilentProb": "silent", "StuckFireProb": "fire",
+			"UpsetProb": "upset", "UpsetMag": "upset-mag",
+		})
+	}
 	man := faults.Sweep(cfg)
 
 	fmt.Printf("fault sweep: n=%d m=%d u=%d src=%d | model %s | %d trials/point, NMR k=%d, %d retries\n",
@@ -107,6 +116,16 @@ func cmdFaults(args []string) error {
 		return fmt.Errorf("strict mode: %d trials fell back to degraded (classic) mode", degraded)
 	}
 	return nil
+}
+
+// flagError names the command-line flag behind a faults.FieldError,
+// given the flag that sets each field.
+func flagError(err error, flags map[string]string) error {
+	var fe *faults.FieldError
+	if errors.As(err, &fe) && flags[fe.Field] != "" {
+		return fmt.Errorf("-%s: %w", flags[fe.Field], err)
+	}
+	return err
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -556,6 +556,14 @@ func cmdCrossover(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"n", *n}, {"m", *m}, {"c", *c}} {
+		if f.v < 1 {
+			return fmt.Errorf("crossover: -%s must be >= 1, got %d", f.name, f.v)
+		}
+	}
 	p := cost.Params{N: *n, M: *m, K: 1, L: *l, U: *u, Alpha: 4, C: *c}
 	fmt.Printf("advantage windows at n=%d m=%d U=%d c=%d L=%d (cost-model units):\n", *n, *m, *u, *c, *l)
 	if k := cost.CrossoverK(p, 1<<30); k > 0 {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/snn"
 )
 
 // TestBuildSSSPMatchesSSSP: the split build/run seam must be
@@ -33,20 +35,74 @@ func TestBuildSSSPMatchesSSSP(t *testing.T) {
 	}
 }
 
-// TestBuildSSSPSingleShot: the relays latch their first spike, so a
-// second Run on the same compiled network must panic rather than return
-// silently wrong distances.
-func TestBuildSSSPSingleShot(t *testing.T) {
-	sn := BuildSSSP(diamond())
-	if _, err := sn.Run(0, -1); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Run did not panic")
+// stepCounter is a step probe that counts the steps it sees.
+type stepCounter struct{ steps int }
+
+func (c *stepCounter) OnStep(int64, int, int, int, int) { c.steps++ }
+
+// TestSSSPNetworkReRun: one compiled network re-run under a sequence of
+// sources, destinations, budgets and probes must return what a fresh
+// BuildSSSP returns for each run: a reused network restores the built
+// state and drops the previous run's terminal and probe.
+func TestSSSPNetworkReRun(t *testing.T) {
+	g := graph.RandomGnm(64, 256, graph.Uniform(8), 3, true)
+	sn := BuildSSSP(g)
+	probe := &stepCounter{}
+	for i, c := range []struct {
+		src, dst int
+		budget   int64
+		probe    bool
+	}{
+		{0, -1, 0, false},
+		{0, 17, 0, true}, // halts at dst; the next run must not
+		{5, -1, 0, false},
+		{5, 29, 10, false}, // cut by the budget: timed out
+		{5, 29, 0, false},
+		{63, -1, 0, false},
+	} {
+		var probes []snn.StepProbe
+		if c.probe {
+			probes = append(probes, probe)
 		}
-	}()
-	sn.Run(0, -1)
+		before := probe.steps
+		got, gotErr := sn.RunBudgeted(c.src, c.dst, nil, 0, c.budget, probes...)
+		want, wantErr := BuildSSSP(g).RunBudgeted(c.src, c.dst, nil, 0, c.budget)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("run %d %+v: error %v, fresh build %v", i, c, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d %+v: reused network returned %+v, fresh build %+v", i, c, got, want)
+		}
+		if c.budget > 0 && !got.TimedOut {
+			t.Fatalf("run %d %+v: budget did not cut the run", i, c)
+		}
+		if seen := probe.steps - before; c.probe != (seen > 0) || (c.probe && int64(seen) != got.Stats.Steps) {
+			t.Fatalf("run %d %+v: probe saw %d steps of %d", i, c, seen, got.Stats.Steps)
+		}
+	}
+}
+
+// TestReRunAllocs: a warm re-run reuses the compiled network and its
+// pooled event queue, so it allocates only the result (the SSSPResult and
+// its Dist and Pred slices) at any size. A re-run that compiled again, or
+// a queue that regrew, would add allocations.
+func TestReRunAllocs(t *testing.T) {
+	const resultAllocs = 3
+	allocs := func(n, m int) float64 {
+		sn := BuildSSSP(graph.RandomGnm(n, m, graph.Uniform(8), 1, true))
+		if _, err := sn.Run(0, -1); err != nil { // warm-up: compaction, bucket pool
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := sn.Run(0, -1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(256, 1024), allocs(4096, 16384)
+	if small != resultAllocs || large != resultAllocs {
+		t.Fatalf("re-run allocs: n=256 %v, n=4096 %v; want %d (the result only)", small, large, resultAllocs)
+	}
 }
 
 // TestBuildSSSPRejectsZeroLengths: the delay-validity check lives at

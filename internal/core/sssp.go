@@ -1,4 +1,4 @@
-// Package neuro implements the paper's neuromorphic graph algorithms:
+// Package core implements the paper's neuromorphic graph algorithms:
 //
 //   - SSSP: the pseudopolynomial-time spiking single-source shortest-path
 //     algorithm of Section 3 (delay-coded Dijkstra, after Aibara et al. and
@@ -12,6 +12,12 @@
 //   - KHopPoly / SSSPPoly: the polynomial-time algorithms of Section 4.2.
 //   - ApproxKHop: the (1+o(1))-approximation of Section 7 (Nanongkai
 //     adaptation).
+//
+// SSSP compiles its relay network once (BuildSSSP) and may run it many
+// times: an SSSPNetwork restores its freshly built state before every
+// Run after the first, so the load charge is paid once per graph while
+// each run equals a fresh build's. A network serves one Run at a time;
+// it is not safe for concurrent use.
 //
 // All algorithms return unscaled distances that match their conventional
 // counterparts exactly (or within (1+ε) for the approximation), together
@@ -116,13 +122,18 @@ func SSSPBudgeted(g *graph.Graph, src, dst int, inj snn.Injector, horizonSlack, 
 // from a graph, ready to simulate. Splitting construction (BuildSSSP)
 // from simulation (Run) exposes the two phases the perf harness times
 // separately — netlist build is the O(n+m) load charge of the paper,
-// the run is the spiking computation itself. The network is single-shot:
-// relays latch their first spike, so each BuildSSSP result supports
-// exactly one Run.
+// the run is the spiking computation itself. The network is re-runnable:
+// relays latch their first spike, so every Run after the first restores
+// the freshly built state (snn.Network.Reset, then drops the previous
+// run's terminal, injector and probes) before it simulates, and its
+// result equals a fresh BuildSSSP's. One compile thus serves any number of
+// queries on the same graph — the NMR replicas, retries and self-check of
+// internal/faults. Runs mutate the network: it serves one Run at a time
+// and is not safe for concurrent use.
 type SSSPNetwork struct {
-	g    *graph.Graph
-	rn   *relayNetwork
-	used bool
+	g   *graph.Graph
+	rn  *relayNetwork
+	ran bool // a previous run left dynamic state behind
 }
 
 // BuildSSSP compiles a graph into the Section 3 relay network: one
@@ -142,10 +153,13 @@ func (sn *SSSPNetwork) Neurons() int { return sn.rn.net.N() }
 // Synapses reports the synapse count of the compiled network.
 func (sn *SSSPNetwork) Synapses() int { return sn.rn.net.Synapses() }
 
+// Graph returns the graph the network was compiled from.
+func (sn *SSSPNetwork) Graph() *graph.Graph { return sn.g }
+
 // Run simulates the compiled network from src, halting when dst first
 // spikes (dst = -1 computes all distances). Semantics, probe handling,
-// and the returned error match SSSP exactly. Run panics if called twice:
-// the latched relays make a second run meaningless.
+// and the returned error match SSSP exactly, on the first Run and on
+// every later one.
 func (sn *SSSPNetwork) Run(src, dst int, probe ...snn.StepProbe) (*SSSPResult, error) {
 	return sn.run(src, dst, nil, 0, 0, probe...)
 }
@@ -175,12 +189,18 @@ func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget 
 	if horizonSlack < 0 {
 		panic(fmt.Sprintf("core: negative horizon slack %d", horizonSlack))
 	}
-	if sn.used {
-		panic("core: SSSPNetwork is single-shot (relays latch their first spike); rebuild with BuildSSSP")
-	}
-	sn.used = true
 
 	net, relays := sn.rn.net, sn.rn.relays
+	if sn.ran {
+		// Restore the freshly built state: Reset keeps the terminal,
+		// injector and probes, so drop the previous run's too.
+		net.Reset()
+		net.ClearTerminals()
+		net.SetInjector(nil)
+		net.SetProbe(nil)
+		net.SetFlightProbe(nil)
+	}
+	sn.ran = true
 	attachProbes(net, probe)
 	if dst >= 0 {
 		net.SetTerminal(relays[dst])

@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"strings"
 	"testing"
 
@@ -274,24 +275,61 @@ func TestRenderCurveShape(t *testing.T) {
 	}
 }
 
+// TestModelValidateRejectsBadParams: Check names the offending field, so
+// the CLI can name the flag that set it, and Validate panics on the same
+// rules.
 func TestModelValidateRejectsBadParams(t *testing.T) {
-	for _, m := range []Model{
-		{DropProb: -0.1},
-		{DropProb: 1.1},
-		{JitterMax: -1},
-		{StuckSilentProb: 0.8, StuckFireProb: 0.7},
-		{StuckFireTrain: -2},
+	for _, c := range []struct {
+		m     Model
+		field string
+	}{
+		{Model{DropProb: -0.1}, "DropProb"},
+		{Model{DropProb: 1.1}, "DropProb"},
+		{Model{JitterProb: 2}, "JitterProb"},
+		{Model{JitterMax: -1}, "JitterMax"},
+		{Model{UpsetMag: -1}, "UpsetMag"},
+		{Model{StuckSilentProb: 0.8, StuckFireProb: 0.7}, "StuckFireProb"},
+		{Model{StuckFireTrain: -2}, "StuckFireTrain"},
 	} {
+		var fe *FieldError
+		if err := c.m.Check(); !errors.As(err, &fe) || fe.Field != c.field {
+			t.Errorf("%+v: Check() = %v, want a %s FieldError", c.m, err, c.field)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("model %+v validated", m)
+					t.Errorf("model %+v validated", c.m)
 				}
 			}()
-			m.Validate()
+			c.m.Validate()
 		}()
 	}
 	(Model{DropProb: 0.5, JitterProb: 1, JitterMax: 3}).Validate() // legal
+}
+
+// TestSweepConfigCheck: a bad trial count, replica count, retry budget or
+// rate is an error naming the field, before any simulation runs.
+func TestSweepConfigCheck(t *testing.T) {
+	for _, c := range []struct {
+		edit  func(*SweepConfig)
+		field string
+	}{
+		{func(c *SweepConfig) { c.Trials = 0 }, "Trials"},
+		{func(c *SweepConfig) { c.K = 0 }, "K"},
+		{func(c *SweepConfig) { c.Retries = -1 }, "Retries"},
+		{func(c *SweepConfig) { c.Rates = []float64{0, 1.5} }, "DropProb"},
+		{func(c *SweepConfig) { c.Base.JitterProb = 2 }, "JitterProb"},
+	} {
+		cfg := sweepCfg(smallGraph(), 1)
+		c.edit(&cfg)
+		var fe *FieldError
+		if err := cfg.Check(); !errors.As(err, &fe) || fe.Field != c.field {
+			t.Errorf("want a %s FieldError, Check() = %v", c.field, err)
+		}
+	}
+	if err := sweepCfg(smallGraph(), 1).Check(); err != nil {
+		t.Fatalf("legal sweep rejected: %v", err)
+	}
 }
 
 func TestModelStringAndZero(t *testing.T) {
@@ -307,5 +345,32 @@ func TestModelStringAndZero(t *testing.T) {
 	}
 	if got := (Model{Seed: 2}).String(); !strings.Contains(got, "ideal") {
 		t.Fatalf("ideal String() = %q", got)
+	}
+}
+
+// TestVote: the replica vote takes a strict majority when there is one,
+// else the plurality value, ties going to the smaller value; graph.Inf
+// (a vertex the replica never reached) votes like any other value.
+func TestVote(t *testing.T) {
+	inf := int64(graph.Inf)
+	for _, c := range []struct {
+		name       string
+		votes      []int64
+		best       int64
+		count      int
+		noMajority bool
+	}{
+		{"majority", []int64{5, 3, 5}, 5, 2, false},
+		{"plurality tie", []int64{7, 3, 5, 7, 3}, 3, 2, true},
+		{"all distinct", []int64{9, 4, 6}, 4, 1, true},
+		{"Inf majority", []int64{inf, 2, inf}, inf, 2, false},
+		{"Inf loses a tie", []int64{inf, 2, inf, 2}, 2, 2, true},
+		{"k=1", []int64{inf}, inf, 1, false},
+	} {
+		best, count := vote(append([]int64(nil), c.votes...))
+		if best != c.best || count != c.count || (2*count <= len(c.votes)) != c.noMajority {
+			t.Errorf("%s: vote(%v) = %d x%d, want %d x%d (no majority %v)",
+				c.name, c.votes, best, count, c.best, c.count, c.noMajority)
+		}
 	}
 }

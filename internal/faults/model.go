@@ -45,25 +45,49 @@ type Model struct {
 	Seed int64
 }
 
-// Validate panics on out-of-range parameters (probabilities outside
-// [0,1], negative magnitudes).
-func (m Model) Validate() {
-	check := func(name string, p float64) {
-		if p < 0 || p > 1 {
-			panic(fmt.Sprintf("faults: %s %v outside [0,1]", name, p))
+// FieldError reports the Model (or SweepConfig) field a Check rejected.
+type FieldError struct {
+	Field string // the Go field name, e.g. "DropProb"
+	Msg   string // what is wrong with its value
+}
+
+func (e *FieldError) Error() string { return "faults: " + e.Field + " " + e.Msg }
+
+// Check reports the first out-of-range parameter: a probability outside
+// [0,1], stuck probabilities summing above 1, or a negative magnitude.
+func (m Model) Check() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"DropProb", m.DropProb},
+		{"JitterProb", m.JitterProb},
+		{"WeightNoise", m.WeightNoise},
+		{"StuckSilentProb", m.StuckSilentProb},
+		{"StuckFireProb", m.StuckFireProb},
+		{"UpsetProb", m.UpsetProb},
+	} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return &FieldError{Field: p.name, Msg: fmt.Sprintf("%v outside [0,1]", p.v)}
 		}
 	}
-	check("DropProb", m.DropProb)
-	check("JitterProb", m.JitterProb)
-	check("WeightNoise", m.WeightNoise)
-	check("StuckSilentProb", m.StuckSilentProb)
-	check("StuckFireProb", m.StuckFireProb)
-	check("UpsetProb", m.UpsetProb)
-	if m.StuckSilentProb+m.StuckFireProb > 1 {
-		panic("faults: stuck probabilities sum above 1")
+	switch {
+	case m.StuckSilentProb+m.StuckFireProb > 1:
+		return &FieldError{Field: "StuckFireProb", Msg: "plus StuckSilentProb sums above 1"}
+	case m.JitterMax < 0:
+		return &FieldError{Field: "JitterMax", Msg: fmt.Sprintf("%d negative", m.JitterMax)}
+	case m.UpsetMag < 0:
+		return &FieldError{Field: "UpsetMag", Msg: fmt.Sprintf("%v negative", m.UpsetMag)}
+	case m.StuckFireTrain < 0:
+		return &FieldError{Field: "StuckFireTrain", Msg: fmt.Sprintf("%d negative", m.StuckFireTrain)}
 	}
-	if m.JitterMax < 0 || m.UpsetMag < 0 || m.StuckFireTrain < 0 {
-		panic("faults: negative fault magnitude")
+	return nil
+}
+
+// Validate panics on a model Check rejects.
+func (m Model) Validate() {
+	if err := m.Check(); err != nil {
+		panic(err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"slices"
+
 	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -15,27 +17,28 @@ type RunResult struct {
 	Err error
 }
 
-// RunSSSP executes one Section 3 spiking SSSP run under model. A zero
-// model skips injector attachment entirely, reproducing the pristine
-// engine path (and its stats) byte-for-byte; a faulted model runs with
-// the horizon extended by Model.HorizonSlack so delay jitter cannot
-// masquerade as unreachability.
+// RunSSSP executes one Section 3 spiking SSSP run under model on a fresh
+// compile of g; see Run.
 func RunSSSP(g *graph.Graph, src, dst int, model Model) RunResult {
-	return RunSSSPBudget(g, src, dst, model, 0)
+	return Run(core.BuildSSSP(g), src, dst, model, 0)
 }
 
-// RunSSSPBudget is RunSSSP under a per-query deadline: the simulation is
-// cut off after budget steps (core.SSSPBudgeted), so a query slowed past
-// its budget — by faults or by the workload itself — comes back with
-// Res.TimedOut set instead of running to the analytic horizon. budget <= 0
-// reproduces RunSSSP exactly.
-func RunSSSPBudget(g *graph.Graph, src, dst int, model Model, budget int64) RunResult {
+// Run executes one Section 3 spiking SSSP run under model on the compiled
+// network sn, which it may share with other runs (its result equals a
+// fresh compile's). A zero model skips injector attachment entirely,
+// reproducing the pristine engine path (and its stats) byte-for-byte; a
+// faulted model runs with the horizon extended by Model.HorizonSlack so
+// delay jitter cannot masquerade as unreachability. budget > 0 cuts the
+// simulation off after budget steps (SSSPNetwork.RunBudgeted), so a query
+// slowed past its budget — by faults or by the workload itself — comes
+// back with Res.TimedOut set instead of running to the analytic horizon.
+func Run(sn *core.SSSPNetwork, src, dst int, model Model, budget int64) RunResult {
 	if model.Zero() {
-		res, err := core.SSSPBudgeted(g, src, dst, nil, 0, budget)
+		res, err := sn.RunBudgeted(src, dst, nil, 0, budget)
 		return RunResult{Res: res, Err: err}
 	}
 	inj := New(model)
-	res, err := core.SSSPBudgeted(g, src, dst, inj, model.HorizonSlack(g.N()), budget)
+	res, err := sn.RunBudgeted(src, dst, inj, model.HorizonSlack(sn.Graph().N()), budget)
 	return RunResult{Res: res, Counters: inj.Counters, Err: err}
 }
 
@@ -68,15 +71,23 @@ type NMRResult struct {
 	Deliveries int64
 }
 
-// NMRSSSP runs K replicas of the spiking SSSP under model, each with an
-// independently derived seed (stream "nmr-replica"), and majority-votes
-// the per-vertex distances. Replica 0 uses the model's own seed, so
-// NMRSSSP(K=1) reproduces RunSSSP exactly.
+// NMRSSSP runs K replicas of the spiking SSSP on g under model; it
+// compiles g once and votes with NMR.
 func NMRSSSP(g *graph.Graph, src int, model Model, k int) *NMRResult {
+	return NMR(core.BuildSSSP(g), src, model, k)
+}
+
+// NMR runs K replicas of the spiking SSSP on the compiled network sn under
+// model, each with an independently derived seed (stream "nmr-replica"),
+// and majority-votes the per-vertex distances. Replica 0 uses the model's
+// own seed, so NMR(K=1) reproduces Run exactly. The replicas re-run the
+// one network in turn, as K replica chips loaded with the same netlist
+// would run it side by side.
+func NMR(sn *core.SSSPNetwork, src int, model Model, k int) *NMRResult {
 	if k < 1 {
 		panic("faults: NMR with k < 1 replicas")
 	}
-	n := g.N()
+	n := sn.Graph().N()
 	res := &NMRResult{Dist: make([]int64, n), Replicas: k}
 	dists := make([][]int64, k)
 	for r := 0; r < k; r++ {
@@ -84,7 +95,7 @@ func NMRSSSP(g *graph.Graph, src int, model Model, k int) *NMRResult {
 		if r > 0 {
 			seed = DeriveSeed(model.Seed, "nmr-replica", r)
 		}
-		run := RunSSSP(g, src, -1, model.WithSeed(seed))
+		run := Run(sn, src, -1, model.WithSeed(seed), 0)
 		dists[r] = run.Res.Dist
 		if run.Res.TimedOut {
 			res.TimedOut++
@@ -98,24 +109,12 @@ func NMRSSSP(g *graph.Graph, src int, model Model, k int) *NMRResult {
 		res.Deliveries += run.Res.Stats.Deliveries
 	}
 
-	// Per-vertex vote: strict majority wins; otherwise plurality, with
-	// ties broken toward the smaller distance (deterministic).
-	counts := make(map[int64]int, k)
+	votes := make([]int64, k)
 	for v := 0; v < n; v++ {
-		//lint:deterministic clearing the scratch map; order-independent
-		for key := range counts {
-			delete(counts, key)
-		}
 		for r := 0; r < k; r++ {
-			counts[dists[r][v]]++
+			votes[r] = dists[r][v]
 		}
-		best, bestCount := int64(graph.Inf), 0
-		//lint:deterministic reduced to (max count, min value) — order-independent
-		for val, c := range counts {
-			if c > bestCount || (c == bestCount && val < best) {
-				best, bestCount = val, c
-			}
-		}
+		best, bestCount := vote(votes)
 		res.Dist[v] = best
 		if 2*bestCount <= k {
 			res.NoMajority = append(res.NoMajority, v)
@@ -130,6 +129,24 @@ func NMRSSSP(g *graph.Graph, src int, model Model, k int) *NMRResult {
 		}
 	}
 	return res
+}
+
+// vote returns the most frequent value of votes and its count, ties going
+// to the smaller value: a strict majority always wins, and without one
+// the vote falls back to the plurality. It sorts votes in place.
+func vote(votes []int64) (best int64, count int) {
+	slices.Sort(votes)
+	for i := 0; i < len(votes); {
+		j := i + 1
+		for j < len(votes) && votes[j] == votes[i] {
+			j++
+		}
+		if j-i > count { // ascending order: an equal later run never wins
+			best, count = votes[i], j-i
+		}
+		i = j
+	}
+	return best, count
 }
 
 // SelfCheckResult is the outcome of a validated SSSP run: the spiking
@@ -163,18 +180,25 @@ type SelfCheckResult struct {
 	Deliveries int64
 }
 
-// SSSPWithSelfCheck runs the spiking SSSP under model and validates the
-// full distance vector against classic Dijkstra (which the check needs
-// anyway, making the degraded fallback free). On mismatch or timeout it
-// retries with a freshly derived seed (stream "selfcheck-retry") under
-// exponential backoff, up to maxRetries; if no attempt verifies, it
-// returns the reference distances with Degraded set — the caller gets a
-// correct answer or an explicit degraded flag, never a silent wrong one.
+// SSSPWithSelfCheck runs the self-checked spiking SSSP on g under model;
+// it compiles g once and checks with SelfCheck.
 func SSSPWithSelfCheck(g *graph.Graph, src int, model Model, maxRetries int) *SelfCheckResult {
+	return SelfCheck(core.BuildSSSP(g), src, model, maxRetries)
+}
+
+// SelfCheck runs the spiking SSSP on the compiled network sn under model
+// and validates the full distance vector against classic Dijkstra on
+// sn's graph (which the check needs anyway, making the degraded fallback
+// free). On mismatch or timeout it retries on the same network with a
+// freshly derived seed (stream "selfcheck-retry") under exponential
+// backoff, up to maxRetries; if no attempt verifies, it returns the
+// reference distances with Degraded set — the caller gets a correct
+// answer or an explicit degraded flag, never a silent wrong one.
+func SelfCheck(sn *core.SSSPNetwork, src int, model Model, maxRetries int) *SelfCheckResult {
 	if maxRetries < 0 {
 		panic("faults: negative retry budget")
 	}
-	ref := classic.Dijkstra(g, src)
+	ref := classic.Dijkstra(sn.Graph(), src)
 	out := &SelfCheckResult{}
 	m := model
 	for attempt := 0; attempt <= maxRetries; attempt++ {
@@ -182,7 +206,7 @@ func SSSPWithSelfCheck(g *graph.Graph, src int, model Model, maxRetries int) *Se
 			m = model.WithSeed(DeriveSeed(model.Seed, "selfcheck-retry", attempt))
 			out.BackoffUnits += int64(1) << (attempt - 1)
 		}
-		run := RunSSSP(g, src, -1, m)
+		run := Run(sn, src, -1, m, 0)
 		out.Attempts++
 		out.Counters.Add(run.Counters)
 		out.Steps += run.Res.Stats.Steps

@@ -33,10 +33,12 @@ type SweepConfig struct {
 // self-checked run with retry/fallback — all judged against classic
 // Dijkstra — and returns the spaa-faults/v1 manifest. Everything is
 // derived from (Base.Seed, workload), so the same configuration encodes
-// to byte-identical manifests.
+// to byte-identical manifests. The graph is compiled once: every run of
+// the campaign re-runs that one network. Sweep panics on a configuration
+// Check rejects.
 func Sweep(cfg SweepConfig) *telemetry.FaultsManifest {
-	if cfg.Trials < 1 || cfg.K < 1 || cfg.Retries < 0 {
-		panic("faults: invalid sweep configuration")
+	if err := cfg.Check(); err != nil {
+		panic(err)
 	}
 	g := cfg.G
 	man := telemetry.NewFaultsManifest("spaabench")
@@ -49,7 +51,8 @@ func Sweep(cfg SweepConfig) *telemetry.FaultsManifest {
 		SetConfig("rates", cfg.Rates)
 
 	ref := classic.Dijkstra(g, cfg.Src)
-	base, err := core.SSSP(g, cfg.Src, -1)
+	sn := core.BuildSSSP(g)
+	base, err := sn.Run(cfg.Src, -1)
 	if err != nil {
 		panic(err) // fault-free runs cannot time out
 	}
@@ -60,15 +63,37 @@ func Sweep(cfg SweepConfig) *telemetry.FaultsManifest {
 	}
 
 	for ri, rate := range cfg.Rates {
-		p := MeasurePoint(cfg, ref.Dist, ri, rate)
-		man.Points = append(man.Points, p)
+		man.Points = append(man.Points, measurePoint(cfg, sn, ref.Dist, ri, rate))
 	}
 	return man
 }
 
-// MeasurePoint measures one sweep point: Trials trials at the given drop
-// rate. Exported so tests can probe single points without a full sweep.
-func MeasurePoint(cfg SweepConfig, refDist []int64, rateIndex int, rate float64) telemetry.FaultsPoint {
+// Check reports the first invalid field of the configuration: a trial
+// count or replica count below 1, a negative retry budget, or a base
+// model that Model.Check rejects at any of the sweep's rates.
+func (cfg SweepConfig) Check() error {
+	switch {
+	case cfg.Trials < 1:
+		return &FieldError{Field: "Trials", Msg: fmt.Sprintf("%d below 1", cfg.Trials)}
+	case cfg.K < 1:
+		return &FieldError{Field: "K", Msg: fmt.Sprintf("%d below 1", cfg.K)}
+	case cfg.Retries < 0:
+		return &FieldError{Field: "Retries", Msg: fmt.Sprintf("%d negative", cfg.Retries)}
+	}
+	if err := cfg.Base.Check(); err != nil {
+		return err
+	}
+	for _, rate := range cfg.Rates {
+		if err := cfg.Base.WithDrop(rate).Check(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// measurePoint measures one sweep point: Trials trials at the given drop
+// rate, every run on the campaign's compiled network sn.
+func measurePoint(cfg SweepConfig, sn *core.SSSPNetwork, refDist []int64, rateIndex int, rate float64) telemetry.FaultsPoint {
 	p := telemetry.FaultsPoint{Rate: rate, Trials: cfg.Trials}
 	var tally Counters
 	for trial := 0; trial < cfg.Trials; trial++ {
@@ -82,7 +107,7 @@ func MeasurePoint(cfg SweepConfig, refDist []int64, rateIndex int, rate float64)
 		}
 
 		// (a) Bare single run: what unprotected hardware would report.
-		run := RunSSSP(cfg.G, cfg.Src, -1, model)
+		run := Run(sn, cfg.Src, -1, model, 0)
 		p.Spikes += run.Res.Stats.Spikes
 		p.Deliveries += run.Res.Stats.Deliveries
 		p.Steps += run.Res.Stats.Steps
@@ -106,14 +131,14 @@ func MeasurePoint(cfg SweepConfig, refDist []int64, rateIndex int, rate float64)
 		}
 
 		// (b) NMR: K perturbed replicas, majority vote.
-		nmr := NMRSSSP(cfg.G, cfg.Src, model, cfg.K)
+		nmr := NMR(sn, cfg.Src, model, cfg.K)
 		if distEqual(nmr.Dist, refDist) {
 			p.NMRSuccess++
 		}
 		p.NMRDisagreeing += len(nmr.Disagreeing)
 
 		// (c) Self-check: verified result or explicit degraded mode.
-		sc := SSSPWithSelfCheck(cfg.G, cfg.Src, model, cfg.Retries)
+		sc := SelfCheck(sn, cfg.Src, model, cfg.Retries)
 		p.SelfCheckCaught += sc.MismatchCaught + sc.TimedOutRuns
 		p.Retries += int64(sc.Attempts - 1)
 		p.BackoffUnits += sc.BackoffUnits

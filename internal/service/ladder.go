@@ -16,9 +16,9 @@ import (
 //  1. exact     — fault-free engine run within budget (only when the
 //     service's fault model is zero: under injected faults an unvalidated
 //     run could be silently wrong, so the ladder never serves it).
-//  2. nmr       — faults.NMRSSSP majority voting, retried with reseeded
+//  2. nmr       — faults.NMR majority voting, retried with reseeded
 //     replicas under exponential backoff while the vote is inconclusive.
-//  3. selfcheck — faults.SSSPWithSelfCheck: engine answer verified
+//  3. selfcheck — faults.SelfCheck: engine answer verified
 //     against the classic reference (its internal retries and fallback
 //     are charged to the query); a verified answer serves as
 //     "selfcheck", its exhausted fallback serves as "classic".
@@ -113,6 +113,15 @@ func (s *Service) ladderSSSP(q Query, g *graph.Graph, resp *Response, qt *trace.
 	}
 
 	model := s.cfg.Model.WithSeed(s.querySeed(q))
+	// The fault rungs compile the graph once, on first use, and re-run
+	// that one network for every NMR replica, retry and self-check attempt.
+	var sn *core.SSSPNetwork
+	compiled := func() *core.SSSPNetwork {
+		if sn == nil {
+			sn = core.BuildSSSP(g)
+		}
+		return sn
+	}
 	// Rung 2: NMR voting, retried while the vote is inconclusive. A
 	// full-horizon voting round costs at least one pristine wavefront, so
 	// skip the rung when the remaining budget cannot cover even that.
@@ -138,7 +147,7 @@ func (s *Service) ladderSSSP(q Query, g *graph.Graph, resp *Response, qt *trace.
 			qt.End(aref, backoff)
 		}
 		eref := qt.BeginUnder(rref, trace.StageRun, "nmr vote")
-		vote := faults.NMRSSSP(g, q.Src, m, s.cfg.NMRReplicas)
+		vote := faults.NMR(compiled(), q.Src, m, s.cfg.NMRReplicas)
 		qt.EndEngine(eref, vote.SpikeTime, vote.Steps, vote.Spikes, vote.Deliveries)
 		resp.CostUnits += rem.charge(vote.SpikeTime)
 		if vote.TimedOut > 0 {
@@ -162,7 +171,7 @@ func (s *Service) ladderSSSP(q Query, g *graph.Graph, resp *Response, qt *trace.
 	if !rem.limited || rem.left >= minRound {
 		cref := qt.Begin(trace.StageRung, ModeSelfCheck)
 		eref := qt.BeginUnder(cref, trace.StageRun, "selfcheck")
-		check := faults.SSSPWithSelfCheck(g, q.Src, model.WithSeed(
+		check := faults.SelfCheck(compiled(), q.Src, model.WithSeed(
 			faults.DeriveSeed(model.Seed, "service-selfcheck", 0)), s.cfg.MaxRetries)
 		qt.EndEngine(eref, check.SpikeTime, check.Steps, check.Spikes, check.Deliveries)
 		if check.Attempts > 1 {

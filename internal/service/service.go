@@ -2,12 +2,16 @@
 // behind `spaabench serve`: admission control (bounded work queue with
 // load shedding plus per-tenant token-bucket quotas), deadline
 // propagation (per-query simulated-step budgets threaded down to
-// core.SSSPBudgeted / snn.Result.TimedOut), seeded retry with exponential
-// backoff behind a per-workload circuit breaker, and a degradation
-// ladder that composes the fault-tolerance primitives — exact spiking run
-// → faults.NMRSSSP voting → faults.SSSPWithSelfCheck → classic reference
-// → core.ApproxKHop-style truncated answer — tagging every response with
-// the rung that served it. Every admission, shed, retry, breaker
+// core.SSSPNetwork.RunBudgeted / snn.Result.TimedOut), seeded retry with
+// exponential backoff behind a per-workload circuit breaker, and a
+// degradation ladder that composes the fault-tolerance primitives —
+// exact spiking run → faults.NMR voting → faults.SelfCheck → classic
+// reference → core.ApproxKHop-style truncated answer — tagging every
+// response with the rung that served it. A query compiles its relay
+// netlist at most once: the exact rung builds and runs it, and the fault
+// rungs build it on first use and re-run it for every NMR replica, vote
+// retry and self-check attempt (a compiled network is re-runnable but
+// not shared between queries). Every admission, shed, retry, breaker
 // transition and degradation is exported through the spaa_service_*
 // metric families, and every timing decision flows through a Clock, so a
 // LogicalClock makes whole campaigns byte-reproducible (see chaos.go).

@@ -399,6 +399,14 @@ func (n *Network) RequireAllTerminals() {
 	n.terminalAll = true
 }
 
+// ClearTerminals removes every terminal and restores the "any terminal"
+// halting rule, so a network re-run after Reset can halt on a different
+// neuron (or run to quiescence).
+func (n *Network) ClearTerminals() {
+	n.terminals = n.terminals[:0]
+	n.terminalAll = false
+}
+
 // Result reports the outcome of Run.
 type Result struct {
 	// Halted is true when a terminal neuron fired; TerminalTime is the
@@ -716,10 +724,16 @@ func (n *Network) Now() int64 { return n.now }
 // TotalStats returns the accumulated cost counters.
 func (n *Network) TotalStats() Stats { return n.stats }
 
-// Reset clears all dynamic state (voltages, pending events, spike history,
-// statistics) while keeping neurons and synapses, so the same hardware
-// network can run a new computation — the embed/unembed workflow of
-// Section 4.4.
+// Reset clears all dynamic state (voltages, pending events and induced
+// inputs, spike history, statistics, simulation time) while keeping
+// neurons and synapses, so the same hardware network can run a new
+// computation — the embed/unembed workflow of Section 4.4. It also keeps
+// everything attached to the network rather than computed by it: the
+// terminals and halting rule, the injector, the step and flight probes,
+// labels, and the pooled queue buckets (a warm re-run allocates nothing).
+// A caller that re-runs with different ones replaces them itself
+// (ClearTerminals, SetInjector, SetProbe, SetFlightProbe); an injector is
+// not re-Prepared.
 func (n *Network) Reset() {
 	for i := range n.voltage {
 		n.voltage[i] = n.neurons[i].Reset
