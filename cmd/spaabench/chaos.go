@@ -52,6 +52,10 @@ func cmdChaos(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkCounts("chaos", countFlag{"queries", int64(*queries)}, countFlag{"tenants", int64(*tenants)},
+		countFlag{"workers", int64(*workers)}, countFlag{"queue", int64(*queueCap)}); err != nil {
+		return err
+	}
 
 	cfg := service.Config{
 		Workers:          *workers,

@@ -61,6 +61,17 @@ func TestBadGraphSizeErrors(t *testing.T) {
 		{"faults", "-upset-mag", "-1"},
 		{"chaos", "-drop", "2"},
 		{"crossover", "-n", "0"},
+		// Zero counts the library would read as "use the default".
+		{"chaos", "-queries", "0"},
+		{"chaos", "-tenants", "0"},
+		{"chaos", "-workers", "0"},
+		{"chaos", "-queue", "0"},
+		{"trace", "-queries", "0", "-out", filepath.Join(t.TempDir(), "m.json")},
+		{"trace", "-tenants", "0"},
+		{"trace", "-workers", "0"},
+		{"trace", "-queue", "0"},
+		{"soak", "-workers", "0", "-iters", "0"},
+		{"soak", "-iters", "0"},
 	} {
 		t.Run(strings.Join(argv, " "), func(t *testing.T) {
 			defer func() {

@@ -192,6 +192,24 @@ func checkGnm(n, m int, u int64) error {
 	return nil
 }
 
+// countFlag is a count flag's name and value, for checkCounts.
+type countFlag struct {
+	name string
+	v    int64
+}
+
+// checkCounts rejects a count flag below 1. The library configs read a
+// zero count as "use the default", so without this check `chaos -queries
+// 0` would quietly run the default campaign.
+func checkCounts(cmd string, flags ...countFlag) error {
+	for _, f := range flags {
+		if f.v < 1 {
+			return fmt.Errorf("%s: -%s must be >= 1, got %d", cmd, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // checkVertices rejects a source outside [0,n) and a destination outside
 // [-1,n) (-1 = every vertex) before they reach a solver that would panic.
 func checkVertices(n, src, dst int) error {
@@ -556,13 +574,8 @@ func cmdCrossover(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{{"n", *n}, {"m", *m}, {"c", *c}} {
-		if f.v < 1 {
-			return fmt.Errorf("crossover: -%s must be >= 1, got %d", f.name, f.v)
-		}
+	if err := checkCounts("crossover", countFlag{"n", *n}, countFlag{"m", *m}, countFlag{"c", *c}); err != nil {
+		return err
 	}
 	p := cost.Params{N: *n, M: *m, K: 1, L: *l, U: *u, Alpha: 4, C: *c}
 	fmt.Printf("advantage windows at n=%d m=%d U=%d c=%d L=%d (cost-model units):\n", *n, *m, *u, *c, *l)

@@ -32,6 +32,9 @@ func cmdSoak(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkCounts("soak", countFlag{"workers", int64(*workers)}, countFlag{"iters", int64(*iters)}); err != nil {
+		return err
+	}
 
 	reg := metrics.NewRegistry()
 	bridge := metrics.NewBridge(reg)

@@ -50,6 +50,10 @@ func cmdTrace(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkCounts("trace", countFlag{"queries", int64(*queries)}, countFlag{"tenants", int64(*tenants)},
+		countFlag{"workers", int64(*workers)}, countFlag{"queue", int64(*queueCap)}); err != nil {
+		return err
+	}
 
 	run := func() (*service.ChaosReport, *trace.Report) {
 		col := trace.NewCollector(trace.Config{

@@ -80,3 +80,55 @@ func BenchmarkLatchSSSP(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSSSPBuildRun times the two phases of a solve at the sizes of
+// the perfbench solve workloads: random_100k is the build-heavy
+// solve_random graph (n=100k, m=400k, U=8), wide_20k the queue-heavy
+// solve_wide_delay graph (n=20k, m=60k, U=65536). build is BuildSSSP
+// alone, rerun a warm Run of one compiled network (Reset plus the run),
+// and build+run one fresh BuildSSSP + Run, the perfbench op.
+func BenchmarkSSSPBuildRun(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n, m int
+		u    int64
+	}{
+		{"random_100k", 100_000, 400_000, 8},
+		{"wide_20k", 20_000, 60_000, 65536},
+	} {
+		g := graph.RandomGnm(c.n, c.m, graph.Uniform(c.u), 1, true)
+		g.MaxDeg() // build the graph's own index outside the measurement
+		b.Run(c.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchNet = BuildSSSP(g)
+			}
+		})
+		b.Run(c.name+"/rerun", func(b *testing.B) {
+			sn := BuildSSSP(g)
+			benchRun(b, sn)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchRun(b, sn)
+			}
+		})
+		b.Run(c.name+"/build+run", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchRun(b, BuildSSSP(g))
+			}
+		})
+	}
+}
+
+// benchNet keeps BuildSSSP's result live so the build is not optimized
+// away.
+var benchNet *SSSPNetwork
+
+func benchRun(b *testing.B, sn *SSSPNetwork) {
+	r, err := sn.Run(0, -1)
+	if err != nil || r.Stats.Spikes == 0 {
+		b.Fatalf("run: %v, stats %+v", err, r.Stats)
+	}
+}

@@ -105,21 +105,8 @@ func TestReRunAllocs(t *testing.T) {
 	}
 }
 
-// TestBuildSSSPRejectsZeroLengths: the delay-validity check lives at
-// build time.
-func TestBuildSSSPRejectsZeroLengths(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BuildSSSP accepted a zero-length edge")
-		}
-	}()
-	BuildSSSP(g)
-}
-
-// TestRelayBuildAllocs: the relay builder connects in source order, so
-// its synapses land directly in the engine's CSR layout. Building and
+// TestRelayBuildAllocs: the relay builder places its synapses into rows
+// sized up front, so they land directly in the engine's CSR layout. Building and
 // compacting the network then costs the same allocation count at any
 // size; a staging slice growing with m, or a compaction copy, breaks that.
 func TestRelayBuildAllocs(t *testing.T) {

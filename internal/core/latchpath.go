@@ -112,13 +112,15 @@ func SSSPWithLatches(g *graph.Graph, src int) *LatchSSSP {
 	}
 	for v := 0; v < n; v++ {
 		res.Pred[v] = -1
-		t := net.FirstSpike(relay[v])
-		if t < 0 {
-			res.Dist[v] = graph.Inf
-			continue
+		res.Dist[v] = graph.Inf
+		if t := net.FirstSpike(relay[v]); t >= 0 {
+			res.Dist[v] = t
 		}
-		res.Dist[v] = t
-		if v == src {
+	}
+	// Decode only once every distance is known: validPred reads the
+	// latched predecessor's distance, which may belong to a later vertex.
+	for v := 0; v < n; v++ {
+		if res.Dist[v] == graph.Inf || v == src {
 			continue
 		}
 		id := 0

@@ -37,7 +37,7 @@ func SSSPMulti(g *graph.Graph, src int, dsts []int) *SSSPResult {
 	}
 	rn.net.RequireAllTerminals()
 	rn.net.InduceSpike(rn.relays[src], 0)
-	r := rn.net.Run(ssspHorizon(g))
+	r := rn.net.Run(rn.horizon)
 
 	res := &SSSPResult{
 		Dist:     make([]int64, n),

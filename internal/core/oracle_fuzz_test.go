@@ -13,6 +13,17 @@ import (
 // two shift it left by 0, 5, 10 or 15 bits, so delays also reach past the
 // engine's 2^17-step ring into its far map. Self-loops and parallel edges
 // are kept.
+// addGraphSeeds adds the seed corpus shared by the fuzzGraph targets:
+// (graph bytes, source, destination) triples.
+func addGraphSeeds(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 2, 1, 2, 0, 0, 2, 5, 2, 3, 1}, uint8(0), uint8(0))
+	f.Add([]byte{4, 0, 1, 2, 1, 2, 0, 0, 2, 5, 2, 3, 1}, uint8(0), uint8(3))
+	f.Add([]byte{6, 0, 1, 0, 0, 1, 0, 1, 1, 3, 1, 2, 0, 2, 3, 9, 0, 3, 1}, uint8(0), uint8(4))
+	f.Add([]byte{5, 1, 2, 4, 2, 1, 4, 3, 4, 0}, uint8(1), uint8(5))
+	f.Add([]byte{3, 0, 1, 255, 0, 2, 1, 2, 1, 200, 1, 2, 130}, uint8(0), uint8(2))
+	f.Add([]byte{0}, uint8(0), uint8(0))
+}
+
 func fuzzGraph(data []byte) *graph.Graph {
 	g := graph.New(int(data[0]%24) + 1)
 	for b := data[1:]; len(b) >= 3; b = b[3:] {
@@ -26,14 +37,11 @@ func fuzzGraph(data []byte) *graph.Graph {
 // match; with dst >= 0 the run halts when dst spikes, so exactly the
 // vertices no farther than dst carry their true distance and the rest
 // read graph.Inf. Every latched predecessor must close a tight edge:
-// Pred[v] = u with an edge u->v and Dist[u] + len = Dist[v].
+// Pred[v] = u with an edge u->v and Dist[u] + len = Dist[v]. The tight
+// edge check would accept a reordered fan-out row, so the network and run
+// must also equal the source-order reference build exactly.
 func FuzzSSSPVsDijkstra(f *testing.F) {
-	f.Add([]byte{4, 0, 1, 2, 1, 2, 0, 0, 2, 5, 2, 3, 1}, uint8(0), uint8(0))
-	f.Add([]byte{4, 0, 1, 2, 1, 2, 0, 0, 2, 5, 2, 3, 1}, uint8(0), uint8(3))
-	f.Add([]byte{6, 0, 1, 0, 0, 1, 0, 1, 1, 3, 1, 2, 0, 2, 3, 9, 0, 3, 1}, uint8(0), uint8(4))
-	f.Add([]byte{5, 1, 2, 4, 2, 1, 4, 3, 4, 0}, uint8(1), uint8(5))
-	f.Add([]byte{3, 0, 1, 255, 0, 2, 1, 2, 1, 200, 1, 2, 130}, uint8(0), uint8(2))
-	f.Add([]byte{0}, uint8(0), uint8(0))
+	addGraphSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, srcRaw, dstRaw uint8) {
 		if len(data) == 0 {
 			return
@@ -45,6 +53,7 @@ func FuzzSSSPVsDijkstra(f *testing.F) {
 		if err != nil {
 			t.Fatalf("src %d dst %d: %v", src, dst, err)
 		}
+		checkAgainstReference(t, g, src, dst)
 		want := classic.Dijkstra(g, src).Dist
 		horizon := graph.Inf
 		if dst >= 0 && want[dst] < graph.Inf {
@@ -73,6 +82,60 @@ func FuzzSSSPVsDijkstra(f *testing.F) {
 			}
 			if !tight {
 				t.Fatalf("src %d dst %d: Pred[%d] = %d closes no tight edge (Dist %d)", src, dst, v, u, d)
+			}
+		}
+	})
+}
+
+// tightPreds returns the distinct u with an edge u->v that closes v's
+// distance: Dist[u] finite and Dist[u] + len = Dist[v].
+func tightPreds(g *graph.Graph, dist []int64, v int) map[int]bool {
+	out := map[int]bool{}
+	for _, ei := range g.In(v) {
+		if e := g.Edge(int(ei)); dist[e.From] < graph.Inf && dist[e.From]+e.Len == dist[v] {
+			out[e.From] = true
+		}
+	}
+	return out
+}
+
+// FuzzLatchSSSPVsDijkstra checks the gate-level path-construction
+// network (SSSPWithLatches) against classic.Dijkstra: every distance
+// matches; every reached vertex other than the source either latches a
+// predecessor that closes a tight edge or reports a merge; and a merge,
+// the OR of simultaneous IDs, happens only where at least two distinct
+// tight predecessors exist. The circuit mixes relay, gate and store
+// neurons, so it also runs parameter interning on a real netlist.
+func FuzzLatchSSSPVsDijkstra(f *testing.F) {
+	addGraphSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, srcRaw, _ uint8) {
+		if len(data) == 0 {
+			return
+		}
+		g := fuzzGraph(data)
+		src := int(srcRaw) % g.N()
+		res := SSSPWithLatches(g, src)
+		want := classic.Dijkstra(g, src).Dist
+		for v, d := range res.Dist {
+			if d != want[v] {
+				t.Fatalf("src %d: Dist[%d] = %d, want %d", src, v, d, want[v])
+			}
+		}
+		for v, d := range res.Dist {
+			if d == graph.Inf || v == src {
+				if res.Pred[v] != -1 || res.Merged[v] {
+					t.Fatalf("src %d: vertex %d (dist %d) latched pred %d merged %v", src, v, d, res.Pred[v], res.Merged[v])
+				}
+				continue
+			}
+			tight := tightPreds(g, res.Dist, v)
+			switch {
+			case res.Merged[v] && res.Pred[v] != -1:
+				t.Fatalf("src %d: vertex %d both merged and latched %d", src, v, res.Pred[v])
+			case res.Merged[v] && len(tight) < 2:
+				t.Fatalf("src %d: vertex %d merged with %d tight predecessor(s)", src, v, len(tight))
+			case !res.Merged[v] && !tight[res.Pred[v]]:
+				t.Fatalf("src %d: Pred[%d] = %d closes no tight edge (Dist %d)", src, v, res.Pred[v], d)
 			}
 		}
 	})

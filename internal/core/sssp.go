@@ -141,9 +141,6 @@ type SSSPNetwork struct {
 // All edge lengths must be >= 1 (the minimum programmable delay δ;
 // rescale zero-length edges first).
 func BuildSSSP(g *graph.Graph) *SSSPNetwork {
-	if g.M() > 0 && g.MinLen() < 1 {
-		panic("core: SSSP requires edge lengths >= 1 (the minimum synaptic delay)")
-	}
 	return &SSSPNetwork{g: g, rn: newRelayNetwork(g)}
 }
 
@@ -210,7 +207,7 @@ func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget 
 		net.SetInjector(inj) // after topology + induced input: Prepare sees the final network
 	}
 
-	horizon := ssspHorizon(g)
+	horizon := sn.rn.horizon
 	saturated := horizon == graph.Inf-1
 	if !saturated && horizonSlack > 0 {
 		if horizonSlack > graph.Inf-1-horizon {
@@ -290,25 +287,31 @@ func maxInt64(a, b int64) int64 {
 	return b
 }
 
-// ssspHorizon bounds the simulation: every finite first-spike time is at
-// most n·U, but graphs may carry graph.Inf "disabled" delays (the crossbar
-// embedder uses them), so the horizon saturates at graph.Inf-1: any event
-// scheduled through a disabled edge lands at or beyond graph.Inf and is
-// never processed.
-func ssspHorizon(g *graph.Graph) int64 {
-	u := maxInt64(g.MaxLen(), 1)
-	n := int64(g.N())
-	if u >= graph.Inf/(n+1) {
+// ssspHorizon bounds the simulation of a graph's relay network; see
+// relayHorizon.
+func ssspHorizon(g *graph.Graph) int64 { return relayHorizon(g.N(), g.MaxLen()) }
+
+// relayHorizon bounds the simulation: every finite first-spike time on n
+// vertices with longest edge maxLen is at most n·U, but graphs may carry
+// graph.Inf "disabled" delays (the crossbar embedder uses them), so the
+// horizon saturates at graph.Inf-1: any event scheduled through a
+// disabled edge lands at or beyond graph.Inf and is never processed.
+func relayHorizon(n int, maxLen int64) int64 {
+	u := maxInt64(maxLen, 1)
+	nn := int64(n)
+	if u >= graph.Inf/(nn+1) {
 		return graph.Inf - 1
 	}
-	return n*u + 1
+	return nn*u + 1
 }
 
 // relayNetwork is the Section 3 construction: one fire-once relay neuron
-// per vertex, one delay-coded synapse per edge.
+// per vertex, one delay-coded synapse per edge. horizon is relayHorizon
+// of the graph as built.
 type relayNetwork struct {
-	net    *snn.Network
-	relays []int
+	net     *snn.Network
+	relays  []int
+	horizon int64
 }
 
 // attachProbes routes the optional probe arguments of the algorithm
@@ -343,18 +346,25 @@ func newRelayNetwork(g *graph.Graph) *relayNetwork {
 	for v := 0; v < n; v++ {
 		relays[v] = net.AddNeuron(snn.Integrator(1))
 	}
-	// Synapses go in source order, so they land directly in the engine's
-	// CSR layout: each relay's self-loop, then its out-edges in edge-index
-	// order. That is each relay's fan-out order, which fixes FirstCause
-	// (and thus Pred) tie-breaks.
+	// Each relay's row holds its self-loop, then its out-edges in
+	// edge-index order: the order of g.Out(v), whose index is a stable
+	// counting sort of the edge list. That fan-out order fixes FirstCause
+	// (and thus Pred) tie-breaks. The rows are sized up front, so the
+	// edges are placed in one sequential walk of the edge list, which also
+	// checks every length and finds the longest.
+	net.SizeRows(func(v int) int { return 1 + g.OutDeg(v) })
 	for v := 0; v < n; v++ {
 		// Fire-once: one inhibitory pulse outweighs every possible future
 		// excitation (at most indeg unit arrivals remain).
-		net.Connect(v, v, -float64(g.InDeg(v)+1), 1)
-		for _, ei := range g.Out(v) {
-			e := g.Edge(int(ei))
-			net.Connect(v, e.To, 1, e.Len)
-		}
+		net.Place(v, v, -float64(g.InDeg(v)+1), 1)
 	}
-	return &relayNetwork{net: net, relays: relays}
+	var maxLen int64
+	for _, e := range g.Edges() {
+		if e.Len < 1 {
+			panic("core: SSSP requires edge lengths >= 1 (the minimum synaptic delay)")
+		}
+		maxLen = max(maxLen, e.Len)
+		net.Place(e.From, e.To, 1, e.Len)
+	}
+	return &relayNetwork{net: net, relays: relays, horizon: relayHorizon(n, maxLen)}
 }

@@ -209,6 +209,12 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 // output is deterministic for a given registry state, so scrapes can be
 // diffed and golden-tested.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Snapshot the families and their series under the lock: register
+	// adds series to a family's map while scrapes render.
+	type snapshot struct {
+		f      *family
+		series []*collector
+	}
 	r.mu.RLock()
 	names := make([]string, 0, len(r.families))
 	//lint:deterministic family names are sorted below before rendering
@@ -216,13 +222,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	snaps := make([]snapshot, len(names))
 	for i, name := range names {
-		fams[i] = r.families[name]
+		f := r.families[name]
+		sigs := make([]string, 0, len(f.series))
+		//lint:deterministic label signatures are sorted below before rendering
+		for sig := range f.series {
+			sigs = append(sigs, sig)
+		}
+		sort.Strings(sigs)
+		snaps[i] = snapshot{f: f, series: make([]*collector, len(sigs))}
+		for j, sig := range sigs {
+			snaps[i].series[j] = f.series[sig]
+		}
 	}
 	r.mu.RUnlock()
 
-	for _, f := range fams {
+	for _, s := range snaps {
+		f := s.f
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
 				return err
@@ -231,14 +248,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
 			return err
 		}
-		sigs := make([]string, 0, len(f.series))
-		//lint:deterministic label signatures are sorted below before rendering
-		for sig := range f.series {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			if err := writeSeries(w, f, f.series[sig]); err != nil {
+		for _, c := range s.series {
+			if err := writeSeries(w, f, c); err != nil {
 				return err
 			}
 		}

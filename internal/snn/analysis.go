@@ -12,7 +12,9 @@ import "fmt"
 // paper (first spike time = distance).
 func (n *Network) FirstSpikeLatencies() []int64 {
 	out := make([]int64, n.N())
-	copy(out, n.firstSpike)
+	for i := range n.cells {
+		out[i] = n.cells[i].firstSpike
+	}
 	return out
 }
 
@@ -54,8 +56,8 @@ func (n *Network) InterSpikeIntervals(i int) []int64 {
 // the energy estimates.
 func (n *Network) ActiveNeurons() int {
 	count := 0
-	for _, t := range n.firstSpike {
-		if t >= 0 {
+	for i := range n.cells {
+		if n.cells[i].firstSpike >= 0 {
 			count++
 		}
 	}

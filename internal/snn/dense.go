@@ -23,10 +23,10 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 		panic(fmt.Sprintf("snn: negative horizon %d", maxTime))
 	}
 
-	nn := len(n.neurons)
+	nn := len(n.cells)
 	voltage := make([]float64, nn)
 	for i := range voltage {
-		voltage[i] = n.neurons[i].Reset
+		voltage[i] = n.Params(i).Reset
 	}
 
 	// forced[t] = induced spikes; synIn[t mod W][i] accumulates arrivals.
@@ -61,7 +61,7 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 		}
 		var fired []int
 		for i := 0; i < nn; i++ {
-			p := n.neurons[i]
+			p := n.Params(i)
 			vhat := voltage[i] - (voltage[i]-p.Reset)*p.Decay + slot[i]
 			cross := vhat >= p.Threshold
 			if n.cfg.Rule == FireStrict {

@@ -55,10 +55,10 @@ func (n *Network) SetFlightProbe(p FlightProbe) { n.flight = p }
 // `spaabench why` proof tree). Labels are advisory: they are not part of
 // the netlist format and do not affect dynamics.
 func (n *Network) SetLabel(i int, label string) {
-	if i < 0 || i >= len(n.neurons) {
-		panic(fmt.Sprintf("snn: label on neuron %d of %d", i, len(n.neurons)))
+	if i < 0 || i >= len(n.cells) {
+		panic(fmt.Sprintf("snn: label on neuron %d of %d", i, len(n.cells)))
 	}
-	for len(n.labels) < len(n.neurons) {
+	for len(n.labels) < len(n.cells) {
 		n.labels = append(n.labels, "")
 	}
 	n.labels[i] = label
@@ -76,7 +76,7 @@ func (n *Network) Label(i int) string {
 	if i >= 0 && i < len(n.labels) && n.labels[i] != "" {
 		return n.labels[i]
 	}
-	if n.labeler != nil && i >= 0 && i < len(n.neurons) {
+	if n.labeler != nil && i >= 0 && i < len(n.cells) {
 		return n.labeler(i)
 	}
 	return ""
@@ -86,8 +86,8 @@ func (n *Network) Label(i int) string {
 // the reusable scratch lists. Called only while a flight probe is
 // attached.
 func (n *Network) captureAntecedents(b *bucket) {
-	if len(n.ants) < len(n.neurons) {
-		n.ants = append(n.ants, make([][]Antecedent, len(n.neurons)-len(n.ants))...)
+	if len(n.ants) < len(n.cells) {
+		n.ants = append(n.ants, make([][]Antecedent, len(n.cells)-len(n.ants))...)
 	}
 	// Delay metadata aligns index-for-index with deliveries only when
 	// every delivery in the bucket was scheduled with the probe attached.

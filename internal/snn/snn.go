@@ -36,13 +36,25 @@
 // to wall-clock simulated time. Voltage decay across skipped steps is
 // applied lazily and exactly.
 //
+// Each neuron's engine state (voltage and its time, the step's summed
+// input and first excitatory contributor, the generation markers, the
+// first spike and its cause) lives in one 64-byte cell, so a delivery and
+// the firing decision that follows touch one cache line. The cell names
+// its parameters by an index into an interned table: AddNeuron reuses the
+// previous neuron's entry when the tuple is bit-for-bit the same, so a
+// builder that adds its neurons in runs of one kind carries one entry per
+// run (the SSSP relay network, one run, carries one).
+//
 // Synapses are stored in CSR (compressed sparse row) form: per-neuron
 // offsets plus one synapse array. A Connect in source order (from at or
 // after the last neuron that has synapses) writes straight into it; any
 // other Connect goes to a flat staging slice that the first Run or
-// structural read merges in with a stable counting sort. Loading a graph
-// is O(n+m) with a handful of allocations either way, and each neuron's
-// fan-out keeps Connect order. Pending events live in pooled, recycled
+// structural read merges in with a stable counting sort. A builder that
+// knows every row's final size can instead lay the rows out up front
+// (SizeRows) and Place each synapse into its row in any source order,
+// with no staging and no merge. Loading a graph is O(n+m) with a handful
+// of allocations either way, and each neuron's fan-out keeps the order
+// its synapses were added in. Pending events live in pooled, recycled
 // time buckets ordered by a typed min-heap of times; a bucket is found by
 // time through a ring indexed by t mod W (W the power of two above the
 // largest delay under 2^17), and the rare time at or beyond the window
@@ -102,6 +114,24 @@ type synapse struct {
 	delay  int64
 }
 
+// cell is one neuron's engine state, padded to one 64-byte cache line.
+// synIn and synFrom hold the current step's summed input and first
+// positive-weight contributor, valid only while touchedAt equals the
+// step's generation; forcedAt marks the generation of the last induced
+// spike. param indexes Network.params.
+type cell struct {
+	voltage    float64 // membrane voltage, current at vtime
+	vtime      int64
+	synIn      float64
+	touchedAt  int64
+	forcedAt   int64
+	firstSpike int64
+	synFrom    int32
+	firstCause int32
+	param      int32
+	_          [4]byte
+}
+
 // stagedSynapse is a synapse added by an out-of-source-order Connect and
 // not yet compacted into the CSR layout; 24 bytes with no padding.
 type stagedSynapse struct {
@@ -131,28 +161,31 @@ type StepProbe interface {
 }
 
 // Network is a spiking neural network: a directed graph of LIF neurons.
-// Build the topology with AddNeuron/Connect, inject inputs with
-// InduceSpike, then call Run. Reset restores dynamic state so the same
-// topology can be re-run (the crossbar re-embedding workflow).
+// Build the topology with AddNeuron and Connect (or SizeRows and Place),
+// inject inputs with InduceSpike, then call Run. Reset restores dynamic
+// state so the same topology can be re-run (the crossbar re-embedding
+// workflow).
 type Network struct {
-	cfg     Config
-	neurons []Neuron
+	cfg    Config
+	cells  []cell
+	params []Neuron // interned parameter tuples, indexed by cell.param
 
 	// Synapses in CSR form: neuron i's outgoing synapses are
 	// syn[off[i]:off[i+1]] in insertion order. Until compaction off may
 	// stop short of the last neurons (their rows are empty), and its last
 	// row is open: a source-order Connect appends to it. Any other Connect
 	// appends to staged; compact merges staged into off/syn before the
-	// next run or read.
+	// next run or read. While sized rows are open (SizeRows), off[i+1] is
+	// row i's write cursor, ends[i] where row i ends, and open counts the
+	// slots still to Place.
 	off      []int32
 	syn      []synapse
 	staged   []stagedSynapse
+	ends     []int32
+	open     int
 	maxDelay int64 // largest delay below ringCap; sizes the ring
 
-	// dynamic state
-	voltage []float64
-	vtime   []int64 // time at which voltage[i] is current
-	now     int64
+	now int64
 
 	// pending-event queue (see queue.go)
 	times   []int64 // min-heap of pending times
@@ -162,20 +195,14 @@ type Network struct {
 	far     map[int64]int32
 	base    int64 // latest consumed time; the ring covers [base, base+len(ring))
 
-	firstSpike []int64
-	firstCause []int32
-	spikeLog   [][]int64
+	spikeLog [][]int64
 
 	terminals   []int32
 	terminalAll bool
 
-	// accumulated synaptic input for the step being processed; reused.
-	synIn     []float64
-	synFrom   []int32 // positive-weight contributor for cause tracking
-	touched   []int32
-	touchedAt []int64 // generation marker per neuron
-	forcedAt  []int64 // generation at which the neuron was last induced to fire
-	fired     []int32 // per-step scratch
+	// per-step scratch, reused
+	touched []int32 // neurons that received a delivery
+	fired   []int32
 
 	gen int64
 
@@ -222,20 +249,14 @@ func NewNetwork(cfg Config) *Network {
 	}
 }
 
-// Grow reserves room for neurons more neurons and synapses more
-// synapses, like bytes.Buffer.Grow, so a builder that knows its sizes
-// (core's relay network, ReadNetlist) appends without reallocating. It
-// changes no behaviour.
+// Grow reserves room for neurons more neurons (their cells and CSR
+// offsets) and synapses more synapses, like bytes.Buffer.Grow, so a
+// builder that knows its sizes (core's relay network, ReadNetlist) adds
+// them without reallocating; SizeRows lays its rows out in the reserved
+// synapse capacity. The parameter table is not grown: it holds one entry
+// per run of equal tuples. Grow changes no behaviour.
 func (n *Network) Grow(neurons, synapses int) {
-	n.neurons = slices.Grow(n.neurons, neurons)
-	n.voltage = slices.Grow(n.voltage, neurons)
-	n.vtime = slices.Grow(n.vtime, neurons)
-	n.firstSpike = slices.Grow(n.firstSpike, neurons)
-	n.firstCause = slices.Grow(n.firstCause, neurons)
-	n.synIn = slices.Grow(n.synIn, neurons)
-	n.synFrom = slices.Grow(n.synFrom, neurons)
-	n.touchedAt = slices.Grow(n.touchedAt, neurons)
-	n.forcedAt = slices.Grow(n.forcedAt, neurons)
+	n.cells = slices.Grow(n.cells, neurons)
 	if n.cfg.Record {
 		n.spikeLog = slices.Grow(n.spikeLog, neurons)
 	}
@@ -249,10 +270,11 @@ func (n *Network) Grow(neurons, synapses int) {
 func (n *Network) SetProbe(p StepProbe) { n.probe = p }
 
 // N returns the number of neurons.
-func (n *Network) N() int { return len(n.neurons) }
+func (n *Network) N() int { return len(n.cells) }
 
-// Synapses returns the total number of synapses.
-func (n *Network) Synapses() int { return len(n.syn) + len(n.staged) }
+// Synapses returns the total number of synapses added (placed, for sized
+// rows).
+func (n *Network) Synapses() int { return len(n.syn) + len(n.staged) - n.open }
 
 // AddNeuron adds a neuron and returns its index. The reset voltage must
 // lie strictly below the threshold (under FireGTE) or at most equal to it
@@ -271,20 +293,34 @@ func (n *Network) AddNeuron(p Neuron) int {
 	if n.cfg.Rule == FireStrict && p.Reset > p.Threshold {
 		panic(fmt.Sprintf("snn: reset %v > threshold %v would self-fire", p.Reset, p.Threshold))
 	}
-	idx := len(n.neurons)
-	n.neurons = append(n.neurons, p)
-	n.voltage = append(n.voltage, p.Reset)
-	n.vtime = append(n.vtime, 0)
-	n.firstSpike = append(n.firstSpike, -1)
-	n.firstCause = append(n.firstCause, -1)
-	n.synIn = append(n.synIn, 0)
-	n.synFrom = append(n.synFrom, -1)
-	n.touchedAt = append(n.touchedAt, -1)
-	n.forcedAt = append(n.forcedAt, -1)
+	// Intern by bit pattern, not ==: -0 and +0 compare equal but are
+	// different parameters to the netlist writer.
+	k := len(n.params) - 1
+	if k < 0 || !sameBits(n.params[k], p) {
+		n.params = append(n.params, p)
+		k++
+	}
+	idx := len(n.cells)
+	n.cells = append(n.cells, cell{
+		voltage:    p.Reset,
+		touchedAt:  -1,
+		forcedAt:   -1,
+		firstSpike: -1,
+		synFrom:    -1,
+		firstCause: -1,
+		param:      int32(k),
+	})
 	if n.cfg.Record {
 		n.spikeLog = append(n.spikeLog, nil)
 	}
 	return idx
+}
+
+// sameBits reports whether a and b are the same tuple bit for bit.
+func sameBits(a, b Neuron) bool {
+	return math.Float64bits(a.Reset) == math.Float64bits(b.Reset) &&
+		math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) &&
+		math.Float64bits(a.Decay) == math.Float64bits(b.Decay)
 }
 
 // AddNeurons adds k copies of p and returns their indices.
@@ -299,15 +335,11 @@ func (n *Network) AddNeurons(k int, p Neuron) []int {
 // Connect adds a synapse from -> to with the given weight and delay >= 1.
 // Builders that connect neurons in source order (all of neuron i's
 // synapses before neuron i+1's) fill the CSR layout directly.
+// Connect panics while sized rows are still being placed.
 func (n *Network) Connect(from, to int, weight float64, delay int64) {
-	if from < 0 || from >= len(n.neurons) || to < 0 || to >= len(n.neurons) {
-		panic(fmt.Sprintf("snn: synapse (%d,%d) out of range [0,%d)", from, to, len(n.neurons)))
-	}
-	if delay < 1 {
-		panic(fmt.Sprintf("snn: delay %d < minimum programmable delay 1", delay))
-	}
-	if math.IsNaN(weight) {
-		panic("snn: NaN synapse weight")
+	n.checkSynapse(from, to, weight, delay)
+	if n.open > 0 {
+		panic(fmt.Sprintf("snn: Connect while %d sized-row synapses are unplaced", n.open))
 	}
 	if len(n.staged) == 0 && from >= len(n.off)-2 {
 		// Source order: open rows up to from, then extend the last one.
@@ -319,9 +351,96 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 	} else {
 		n.staged = append(n.staged, stagedSynapse{from: int32(from), to: int32(to), weight: weight, delay: delay})
 	}
+	n.noteDelay(delay)
+}
+
+// checkSynapse panics on a synapse no network may hold: an endpoint out
+// of range, a delay below 1, or a NaN weight.
+func (n *Network) checkSynapse(from, to int, weight float64, delay int64) {
+	if from < 0 || from >= len(n.cells) || to < 0 || to >= len(n.cells) {
+		panic(fmt.Sprintf("snn: synapse (%d,%d) out of range [0,%d)", from, to, len(n.cells)))
+	}
+	if delay < 1 {
+		panic(fmt.Sprintf("snn: delay %d < minimum programmable delay 1", delay))
+	}
+	if math.IsNaN(weight) {
+		panic("snn: NaN synapse weight")
+	}
+}
+
+// noteDelay tracks the largest in-ring delay, which sizes the ring.
+func (n *Network) noteDelay(delay int64) {
 	if delay < ringCap && delay > n.maxDelay {
 		n.maxDelay = delay
 	}
+}
+
+// SizeRows lays out the CSR row of every current neuron from its final
+// synapse count, count(i) for neuron i, in the synapse capacity Grow
+// reserved. Place then fills the rows in any source order; each row
+// keeps the order its synapses were placed in. It is the one-pass
+// alternative to Connect for a builder that knows every row's size but
+// not in source order (core's relay network walks its edge list). It
+// panics on a network that already has synapses, a negative count, or a
+// total past 2^31-1. Until every row is full, Connect panics, and so do
+// Run and every structural read.
+func (n *Network) SizeRows(count func(i int) int) {
+	if len(n.syn) > 0 || len(n.staged) > 0 {
+		panic("snn: SizeRows on a network that already has synapses")
+	}
+	// As in compact, off[i+1] holds row i's write cursor, and once the
+	// row is full it ends where row i+1 starts. ends keeps each row's end
+	// for the overfill check until the last slot is placed.
+	nn := len(n.cells)
+	n.off = slices.Grow(n.off, nn+1)[:nn+1]
+	n.ends = make([]int32, nn)
+	n.off[0] = 0
+	var sum int64
+	for i := 0; i < nn; i++ {
+		c := count(i)
+		if c < 0 {
+			panic(fmt.Sprintf("snn: negative row size %d for neuron %d", c, i))
+		}
+		n.off[i+1] = int32(sum)
+		if sum += int64(c); sum > math.MaxInt32 {
+			panic(fmt.Sprintf("snn: sized rows hold more than %d synapses", math.MaxInt32))
+		}
+		n.ends[i] = int32(sum)
+	}
+	n.syn = slices.Grow(n.syn, int(sum))[:sum]
+	n.open = int(sum)
+	if n.open == 0 {
+		n.ends = nil
+	}
+}
+
+// Place writes the synapse from -> to into the next free slot of from's
+// sized row (see SizeRows), with Connect's checks. It panics when from's
+// row is already full.
+func (n *Network) Place(from, to int, weight float64, delay int64) {
+	// One branch covers Connect's checks, an open row for from and room
+	// in it; badPlace works out which failed.
+	if uint(from) >= uint(len(n.ends)) || uint(to) >= uint(len(n.cells)) || delay < 1 || math.IsNaN(weight) ||
+		n.off[from+1] >= n.ends[from] {
+		n.badPlace(from, to, weight, delay)
+	}
+	k := n.off[from+1]
+	n.syn[k] = synapse{to: int32(to), weight: weight, delay: delay}
+	n.off[from+1] = k + 1
+	n.noteDelay(delay)
+	if n.open--; n.open == 0 {
+		n.ends = nil
+	}
+}
+
+// badPlace panics with the reason Place rejects its synapse. Keeping the
+// messages out of Place keeps the per-synapse call short.
+func (n *Network) badPlace(from, to int, weight float64, delay int64) {
+	n.checkSynapse(from, to, weight, delay)
+	if from >= len(n.ends) {
+		panic(fmt.Sprintf("snn: Place on neuron %d with no open sized row", from))
+	}
+	panic(fmt.Sprintf("snn: Place overfills neuron %d's sized row", from))
 }
 
 // compact merges the staged synapses into the CSR layout with a stable
@@ -332,7 +451,10 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 // delay. Run and every structural reader call it; it is a no-op once the
 // layout is current.
 func (n *Network) compact() {
-	nn := len(n.neurons)
+	if n.open > 0 {
+		panic(fmt.Sprintf("snn: %d sized-row synapses unplaced", n.open))
+	}
+	nn := len(n.cells)
 	if len(n.staged) > 0 {
 		// off[i+1] counts neuron i's synapses, then holds its write
 		// cursor, and after placement ends where neuron i+1 starts.
@@ -374,8 +496,8 @@ func (n *Network) fanout(i int32) []synapse { return n.syn[n.off[i]:n.off[i+1]] 
 // inducing spikes in input neurons) and also encodes multi-bit spike
 // messages as trains.
 func (n *Network) InduceSpike(i int, t int64) {
-	if i < 0 || i >= len(n.neurons) {
-		panic(fmt.Sprintf("snn: induce on neuron %d of %d", i, len(n.neurons)))
+	if i < 0 || i >= len(n.cells) {
+		panic(fmt.Sprintf("snn: induce on neuron %d of %d", i, len(n.cells)))
 	}
 	if t < n.now {
 		panic(fmt.Sprintf("snn: induce at past time %d (now %d)", t, n.now))
@@ -475,18 +597,20 @@ func (n *Network) step(t int64, b *bucket) bool {
 	n.stats.Steps++
 	n.gen++
 	gen := n.gen
+	cells := n.cells
 	touched := n.touched[:0]
 	for _, d := range b.deliveries {
-		if n.touchedAt[d.to] != gen {
-			n.touchedAt[d.to] = gen
-			n.synIn[d.to] = 0
-			n.synFrom[d.to] = -1
+		c := &cells[d.to]
+		if c.touchedAt != gen {
+			c.touchedAt = gen
+			c.synIn = 0
+			c.synFrom = -1
 			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 			touched = append(touched, d.to)
 		}
-		n.synIn[d.to] += d.weight
-		if d.weight > 0 && n.synFrom[d.to] < 0 {
-			n.synFrom[d.to] = d.from
+		c.synIn += d.weight
+		if d.weight > 0 && c.synFrom < 0 {
+			c.synFrom = d.from
 		}
 	}
 	n.touched = touched
@@ -498,28 +622,28 @@ func (n *Network) step(t int64, b *bucket) bool {
 	// Determine firings: forced inputs plus threshold crossings.
 	fired := n.fired[:0]
 	for _, i := range b.forced {
-		if n.forcedAt[i] != gen {
+		if c := &cells[i]; c.forcedAt != gen {
 			if n.injector != nil && !n.injector.FilterFire(t, i, true) {
 				continue // stuck-at-silent: even induced inputs are lost
 			}
-			n.forcedAt[i] = gen
+			c.forcedAt = gen
 			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 			fired = append(fired, i)
 		}
 	}
 	for _, i := range touched {
-		if n.forcedAt[i] == gen {
+		c := &cells[i]
+		if c.forcedAt == gen {
 			continue // forced spike overrides; voltage resets below
 		}
-		p := n.neurons[i]
-		v := n.decayedVoltage(int(i), t)
-		vhat := v + n.synIn[i]
+		vhat := n.decayedVoltage(c, t) + c.synIn
 		if n.injector != nil {
 			vhat += n.injector.PerturbVoltage(t, i)
 		}
-		cross := vhat >= p.Threshold
+		threshold := n.params[c.param].Threshold
+		cross := vhat >= threshold
 		if n.cfg.Rule == FireStrict {
-			cross = vhat > p.Threshold
+			cross = vhat > threshold
 		}
 		if cross && n.injector != nil && !n.injector.FilterFire(t, i, false) {
 			cross = false // suppressed spike: membrane keeps its charge
@@ -528,30 +652,31 @@ func (n *Network) step(t int64, b *bucket) bool {
 			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 			fired = append(fired, i)
 		} else {
-			n.voltage[i] = vhat
-			n.vtime[i] = t
+			c.voltage = vhat
+			c.vtime = t
 		}
 	}
 	n.fired = fired
 
 	terminal := false
 	for _, i := range fired {
-		forced := n.forcedAt[i] == gen
+		c := &cells[i]
+		forced := c.forcedAt == gen
 		var vBefore, vAfter float64
 		if n.flight != nil {
-			vBefore = n.decayedVoltage(int(i), t)
+			vBefore = n.decayedVoltage(c, t)
 			vAfter = vBefore
-			if n.touchedAt[i] == gen {
-				vAfter += n.synIn[i]
+			if c.touchedAt == gen {
+				vAfter += c.synIn
 			}
 		}
-		n.voltage[i] = n.neurons[i].Reset
-		n.vtime[i] = t
+		c.voltage = n.params[c.param].Reset
+		c.vtime = t
 		n.stats.Spikes++
-		if n.firstSpike[i] < 0 {
-			n.firstSpike[i] = t
+		if c.firstSpike < 0 {
+			c.firstSpike = t
 			if !forced {
-				n.firstCause[i] = n.synFrom[i]
+				c.firstCause = c.synFrom
 			}
 		}
 		if n.cfg.Record {
@@ -594,14 +719,14 @@ func (n *Network) step(t int64, b *bucket) bool {
 		if n.terminalAll {
 			terminal = true
 			for _, term := range n.terminals {
-				if n.firstSpike[term] < 0 {
+				if cells[term].firstSpike < 0 {
 					terminal = false
 					break
 				}
 			}
 		} else {
 			for _, term := range n.terminals {
-				if n.firstSpike[term] == t {
+				if cells[term].firstSpike == t {
 					terminal = true
 					break
 				}
@@ -614,23 +739,23 @@ func (n *Network) step(t int64, b *bucket) bool {
 	return terminal
 }
 
-// decayedVoltage returns neuron i's voltage advanced to time t under its
-// leak, without synaptic input.
-func (n *Network) decayedVoltage(i int, t int64) float64 {
-	dt := t - n.vtime[i]
+// decayedVoltage returns the voltage of c's neuron advanced to time t
+// under its leak, without synaptic input.
+func (n *Network) decayedVoltage(c *cell, t int64) float64 {
+	dt := t - c.vtime
 	if dt <= 0 {
-		return n.voltage[i]
+		return c.voltage
 	}
-	p := n.neurons[i]
+	p := &n.params[c.param]
 	switch {
 	//lint:floateq exact sentinel: Decay is assigned only from literals 0/1 or validated input
 	case p.Decay == 0:
-		return n.voltage[i]
+		return c.voltage
 	//lint:floateq exact sentinel
 	case p.Decay == 1:
 		return p.Reset
 	default:
-		return p.Reset + (n.voltage[i]-p.Reset)*math.Pow(1-p.Decay, float64(dt))
+		return p.Reset + (c.voltage-p.Reset)*math.Pow(1-p.Decay, float64(dt))
 	}
 }
 
@@ -642,8 +767,9 @@ type SynapseInfo struct {
 	Delay  int64
 }
 
-// Params returns neuron i's programmable parameters.
-func (n *Network) Params(i int) Neuron { return n.neurons[i] }
+// Params returns neuron i's programmable parameters, bit for bit as
+// AddNeuron received them (read through the interned parameter table).
+func (n *Network) Params(i int) Neuron { return n.params[n.cells[i].param] }
 
 // OutSynapses returns copies of neuron i's outgoing synapses.
 func (n *Network) OutSynapses(i int) []SynapseInfo {
@@ -686,12 +812,12 @@ func (n *Network) Terminals() ([]int, bool) {
 }
 
 // FirstSpike returns the time neuron i first fired, or -1 if it never has.
-func (n *Network) FirstSpike(i int) int64 { return n.firstSpike[i] }
+func (n *Network) FirstSpike(i int) int64 { return n.cells[i].firstSpike }
 
 // FirstCause returns the presynaptic neuron whose positive-weight delivery
 // coincided with neuron i's first spike, or -1 (e.g. for induced spikes).
 // This realizes the predecessor "latching" of Section 3 for path recovery.
-func (n *Network) FirstCause(i int) int { return int(n.firstCause[i]) }
+func (n *Network) FirstCause(i int) int { return int(n.cells[i].firstCause) }
 
 // Spikes returns the full spike train of neuron i. It panics unless the
 // network was built with Config.Record.
@@ -716,7 +842,7 @@ func (n *Network) FiredAt(i int, t int64) bool {
 }
 
 // Voltage returns neuron i's membrane voltage at the current sim time.
-func (n *Network) Voltage(i int) float64 { return n.decayedVoltage(i, n.now) }
+func (n *Network) Voltage(i int) float64 { return n.decayedVoltage(&n.cells[i], n.now) }
 
 // Now returns the current simulation time.
 func (n *Network) Now() int64 { return n.now }
@@ -726,7 +852,8 @@ func (n *Network) TotalStats() Stats { return n.stats }
 
 // Reset clears all dynamic state (voltages, pending events and induced
 // inputs, spike history, statistics, simulation time) while keeping
-// neurons and synapses, so the same hardware network can run a new
+// neurons, their interned parameters and synapses, so the same hardware
+// network can run a new
 // computation — the embed/unembed workflow of Section 4.4. It also keeps
 // everything attached to the network rather than computed by it: the
 // terminals and halting rule, the injector, the step and flight probes,
@@ -735,16 +862,17 @@ func (n *Network) TotalStats() Stats { return n.stats }
 // (ClearTerminals, SetInjector, SetProbe, SetFlightProbe); an injector is
 // not re-Prepared.
 func (n *Network) Reset() {
-	for i := range n.voltage {
-		n.voltage[i] = n.neurons[i].Reset
-		n.vtime[i] = 0
-		n.firstSpike[i] = -1
-		n.firstCause[i] = -1
-		n.touchedAt[i] = -1
-		n.forcedAt[i] = -1
-		if n.cfg.Record {
-			n.spikeLog[i] = nil
-		}
+	for i := range n.cells {
+		c := &n.cells[i]
+		c.voltage = n.params[c.param].Reset
+		c.vtime = 0
+		c.touchedAt = -1
+		c.forcedAt = -1
+		c.firstSpike = -1
+		c.firstCause = -1
+	}
+	if n.cfg.Record {
+		clear(n.spikeLog)
 	}
 	n.clearQueue()
 	n.now = 0

@@ -80,9 +80,12 @@ func Validate(n *Network) []Violation {
 // shared checks operate on (also the parse target of ReadNetlist).
 func (n *Network) spec() *netSpec {
 	n.compact()
-	s := &netSpec{cfg: n.cfg, neurons: n.neurons}
+	s := &netSpec{cfg: n.cfg, neurons: make([]Neuron, len(n.cells))}
+	for i := range s.neurons {
+		s.neurons[i] = n.Params(i)
+	}
 	s.synapses = make([]specSynapse, 0, len(n.syn))
-	for from := int32(0); int(from) < len(n.neurons); from++ {
+	for from := int32(0); int(from) < len(n.cells); from++ {
 		for _, syn := range n.fanout(from) {
 			s.synapses = append(s.synapses, specSynapse{
 				From: int(from), To: int(syn.to), Weight: syn.weight, Delay: syn.delay,

@@ -23,6 +23,15 @@ func syn0(n *Network) *synapse {
 	return &n.syn[n.off[0]]
 }
 
+// ownParams gives neuron i a parameter-table entry of its own and
+// returns it, so a test can corrupt that neuron's parameters without
+// touching the neurons that share its tuple.
+func ownParams(n *Network, i int) *Neuron {
+	n.params = append(n.params, n.Params(i))
+	n.cells[i].param = int32(len(n.params) - 1)
+	return &n.params[len(n.params)-1]
+}
+
 func kinds(vs []Violation) map[string]int {
 	out := map[string]int{}
 	for _, v := range vs {
@@ -45,13 +54,13 @@ func TestValidateCatchesInvariantBreaks(t *testing.T) {
 	}{
 		{"delay-zero", func(n *Network) { syn0(n).delay = 0 }, "delay-min"},
 		{"delay-negative", func(n *Network) { syn0(n).delay = -7 }, "delay-min"},
-		{"decay-high", func(n *Network) { n.neurons[0].Decay = 1.5 }, "decay-range"},
-		{"decay-negative", func(n *Network) { n.neurons[1].Decay = -0.25 }, "decay-range"},
-		{"reset-at-threshold", func(n *Network) { n.neurons[0].Reset = n.neurons[0].Threshold }, "self-fire"},
-		{"reset-above-threshold", func(n *Network) { n.neurons[0].Reset = 9 }, "self-fire"},
+		{"decay-high", func(n *Network) { ownParams(n, 0).Decay = 1.5 }, "decay-range"},
+		{"decay-negative", func(n *Network) { ownParams(n, 1).Decay = -0.25 }, "decay-range"},
+		{"reset-at-threshold", func(n *Network) { p := ownParams(n, 0); p.Reset = p.Threshold }, "self-fire"},
+		{"reset-above-threshold", func(n *Network) { ownParams(n, 0).Reset = 9 }, "self-fire"},
 		{"endpoint-out-of-range", func(n *Network) { syn0(n).to = 99 }, "endpoint"},
-		{"nan-decay", func(n *Network) { n.neurons[0].Decay = math.NaN() }, "nonfinite"},
-		{"inf-threshold", func(n *Network) { n.neurons[1].Threshold = math.Inf(1) }, "nonfinite"},
+		{"nan-decay", func(n *Network) { ownParams(n, 0).Decay = math.NaN() }, "nonfinite"},
+		{"inf-threshold", func(n *Network) { ownParams(n, 1).Threshold = math.Inf(1) }, "nonfinite"},
 		{"nan-weight", func(n *Network) { syn0(n).weight = math.NaN() }, "nonfinite"},
 		{"terminal-out-of-range", func(n *Network) { n.terminals[0] = 42 }, "terminal-range"},
 	}
@@ -76,7 +85,7 @@ func TestValidateStrictRuleAllowsResetEqualThreshold(t *testing.T) {
 	if vs := Validate(n); len(vs) != 0 {
 		t.Fatalf("reset == threshold is legal under the strict rule, got %v", vs)
 	}
-	n.neurons[0].Reset = 2
+	ownParams(n, 0).Reset = 2
 	if vs := Validate(n); kinds(vs)["self-fire"] == 0 {
 		t.Fatalf("reset > threshold must self-fire under strict rule, got %v", vs)
 	}
