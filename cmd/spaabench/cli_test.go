@@ -34,6 +34,9 @@ func TestBadGraphSizeErrors(t *testing.T) {
 			})
 		}
 	}
+	// The subtest name shows the -out file by its base name only, so the
+	// name stays the same from run to run whatever the temp directory is.
+	out := filepath.Join(t.TempDir(), "m.json")
 	// Out-of-range vertices: 0 <= src < n and -1 <= dst < n.
 	for _, argv := range [][]string{
 		{"sssp", "-n", "10", "-m", "20", "-src", "50"},
@@ -66,14 +69,15 @@ func TestBadGraphSizeErrors(t *testing.T) {
 		{"chaos", "-tenants", "0"},
 		{"chaos", "-workers", "0"},
 		{"chaos", "-queue", "0"},
-		{"trace", "-queries", "0", "-out", filepath.Join(t.TempDir(), "m.json")},
+		{"trace", "-queries", "0", "-out", out},
 		{"trace", "-tenants", "0"},
 		{"trace", "-workers", "0"},
 		{"trace", "-queue", "0"},
 		{"soak", "-workers", "0", "-iters", "0"},
 		{"soak", "-iters", "0"},
 	} {
-		t.Run(strings.Join(argv, " "), func(t *testing.T) {
+		name := strings.ReplaceAll(strings.Join(argv, " "), out, filepath.Base(out))
+		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("%v panicked: %v", argv, r)

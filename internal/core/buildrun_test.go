@@ -105,6 +105,25 @@ func TestReRunAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshRunAllocs pins what a fresh build and first run allocate on a
+// wide-delay graph, where thousands of pending times each own a bucket:
+// new buckets take their first delivery capacity from shared slabs and
+// the pending times need no heap, so the count stays far below one
+// allocation per bucket.
+func TestFreshRunAllocs(t *testing.T) {
+	const limit = 200
+	g := graph.RandomGnm(5000, 15000, graph.Uniform(65536), 1, true)
+	g.MaxDeg() // build the graph's own index outside the measurement
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := BuildSSSP(g).Run(0, -1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= limit {
+		t.Fatalf("BuildSSSP+Run allocated %v times, want under %d", allocs, limit)
+	}
+}
+
 // TestRelayBuildAllocs: the relay builder places its synapses into rows
 // sized up front, so they land directly in the engine's CSR layout. Building and
 // compacting the network then costs the same allocation count at any

@@ -1,18 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/classic"
 	"repro/internal/graph"
 )
 
-// fuzzGraph decodes a small multigraph from data: data[0] picks n in
-// [1,24], and each following byte triple (u, v, w) adds the edge
-// u%n -> v%n. The low six bits of w give a length in [1,64] and the top
-// two shift it left by 0, 5, 10 or 15 bits, so delays also reach past the
-// engine's 2^17-step ring into its far map. Self-loops and parallel edges
-// are kept.
 // addGraphSeeds adds the seed corpus shared by the fuzzGraph targets:
 // (graph bytes, source, destination) triples.
 func addGraphSeeds(f *testing.F) {
@@ -24,6 +19,12 @@ func addGraphSeeds(f *testing.F) {
 	f.Add([]byte{0}, uint8(0), uint8(0))
 }
 
+// fuzzGraph decodes a small multigraph from data: data[0] picks n in
+// [1,24], and each following byte triple (u, v, w) adds the edge
+// u%n -> v%n. The low six bits of w give a length in [1,64] and the top
+// two shift it left by 0, 5, 10 or 15 bits, so delays also reach past the
+// engine's 2^17-step ring into its far map. Self-loops and parallel edges
+// are kept.
 func fuzzGraph(data []byte) *graph.Graph {
 	g := graph.New(int(data[0]%24) + 1)
 	for b := data[1:]; len(b) >= 3; b = b[3:] {
@@ -136,6 +137,45 @@ func FuzzLatchSSSPVsDijkstra(f *testing.F) {
 				t.Fatalf("src %d: vertex %d merged with %d tight predecessor(s)", src, v, len(tight))
 			case !res.Merged[v] && !tight[res.Pred[v]]:
 				t.Fatalf("src %d: Pred[%d] = %d closes no tight edge (Dist %d)", src, v, res.Pred[v], d)
+			}
+		}
+	})
+}
+
+// FuzzKHopVsBellmanFord checks every k-hop solver against
+// classic.BellmanFordKHop on small fuzzGraphs (n <= 12 and m <= 24, so
+// the compiled gate-level networks stay small): for every hop bound k from 1 to n-1,
+// the message-level KHopTTL and KHopPoly and the compiled CompileKHopTTL,
+// CompileKHopTTLFast and CompileKHopPoly must each return dist_k exactly.
+func FuzzKHopVsBellmanFord(f *testing.F) {
+	addGraphSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, srcRaw, _ uint8) {
+		if len(data) == 0 {
+			return
+		}
+		// At most 12 vertices and 24 edges.
+		data = append([]byte{data[0] % 12}, data[1:min(len(data), 1+3*24)]...)
+		g := fuzzGraph(data)
+		n := g.N()
+		src := int(srcRaw) % n
+		for k := 1; k < n; k++ {
+			want := classic.BellmanFordKHop(g, src, k, false).Dist
+			ttlC, _ := CompileKHopTTL(g, src, k).Run()
+			ttlF, _ := CompileKHopTTLFast(g, src, k).Run()
+			poly, _ := CompileKHopPoly(g, src, k).Run()
+			for _, c := range []struct {
+				name string
+				dist []int64
+			}{
+				{"KHopTTL", KHopTTL(g, src, -1, k).Dist},
+				{"KHopPoly", KHopPoly(g, src, k).Dist},
+				{"CompileKHopTTL", ttlC},
+				{"CompileKHopTTLFast", ttlF},
+				{"CompileKHopPoly", poly},
+			} {
+				if !slices.Equal(c.dist, want) {
+					t.Fatalf("n %d src %d k %d: %s dist %v, want %v (edges %v)", n, src, k, c.name, c.dist, want, g.Edges())
+				}
 			}
 		}
 	})

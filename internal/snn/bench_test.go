@@ -76,6 +76,35 @@ func BenchmarkEngineDeliveryThroughput(b *testing.B) {
 	b.ReportMetric(float64(st.Deliveries)/float64(b.N), "deliveries/op")
 }
 
+// BenchmarkEngineSparseWideDelay is the event queue's worst case: a
+// chain of 4000 neurons whose delays, 60000 + (i·7919 mod 5000), fill a
+// 65536-slot ring with a single event in flight, so finding each next
+// step scans the occupancy bitmap across most of the ring.
+func BenchmarkEngineSparseWideDelay(b *testing.B) {
+	const nn = 4000
+	net := NewNetwork(Config{})
+	for i := 0; i < nn; i++ {
+		net.AddNeuron(Gate(1))
+	}
+	for i := 0; i+1 < nn; i++ {
+		net.Connect(i, i+1, 1, 60000+int64(i*7919%5000))
+	}
+	run := func() {
+		net.Reset()
+		net.InduceSpike(0, 0)
+		net.Run(1 << 40)
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	if s := net.TotalStats(); s.Spikes != nn {
+		b.Fatalf("chain fired %d of %d neurons", s.Spikes, nn)
+	}
+}
+
 func BenchmarkEngineVsDense(b *testing.B) {
 	b.Run("event", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

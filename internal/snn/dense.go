@@ -31,14 +31,15 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 
 	// forced[t] = induced spikes; synIn[t mod W][i] accumulates arrivals.
 	n.compact()
-	forced := make(map[int64][]int32, len(n.times))
+	times := n.pendingTimes()
+	forced := make(map[int64][]int32, len(times))
 	maxDelay := int64(1)
 	for _, s := range n.syn {
 		if s.delay > maxDelay {
 			maxDelay = s.delay
 		}
 	}
-	for _, t := range n.times {
+	for _, t := range times {
 		b := &n.buckets[n.lookup(t)]
 		if len(b.deliveries) > 0 {
 			panic("snn: DenseRun cannot resume pending deliveries")

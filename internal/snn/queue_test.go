@@ -2,8 +2,10 @@ package snn
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -222,4 +224,130 @@ func TestSourceOrderConnectSkipsStaging(t *testing.T) {
 	if got := direct.OutSynapses(interleaved.N()); len(got) != 0 {
 		t.Fatalf("trailing neuron has fan-out %v", got)
 	}
+}
+
+// TestTimedOutRunKeepsTime: a Run whose deadline lies before the current
+// time times out without rewinding it, so an input at an earlier time is
+// still rejected and spike trains stay sorted.
+func TestTimedOutRunKeepsTime(t *testing.T) {
+	net := NewNetwork(Config{Record: true})
+	a := net.AddNeuron(Gate(1))
+	b := net.AddNeuron(Gate(1))
+	net.Connect(a, b, 1, 3)
+	net.InduceSpike(a, 10)
+	if res := net.Run(20); !res.Quiescent || res.Now != 13 {
+		t.Fatalf("first run: %+v, want quiescent at 13", res)
+	}
+	net.InduceSpike(a, 30)
+	if res := net.Run(5); !res.TimedOut || res.Now != 13 || net.Now() != 13 {
+		t.Fatalf("run to 5 from 13: %+v (Now %d), want a timeout at 13", res, net.Now())
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "induce at past time") {
+				t.Fatalf("InduceSpike(a, 6) at time 13: recovered %v, want the past-time panic", r)
+			}
+		}()
+		net.InduceSpike(a, 6)
+	}()
+	if res := net.Run(100); !res.Quiescent || res.Now != 33 {
+		t.Fatalf("last run: %+v, want quiescent at 33", res)
+	}
+	if got := net.Spikes(a); !slices.Equal(got, []int64{10, 30}) {
+		t.Fatalf("a's train %v, want [10 30]", got)
+	}
+}
+
+// FuzzRunSlicesVsOneShot is the oracle for the queue across Run calls.
+// Two copies of a fuzzNetwork, with extra synapses whose delays widen the
+// ring up to ringCap or reach past it into the far map, see the same
+// inputs. One runs once to a fixed horizon. The other runs in random
+// Run(maxTime) slices, some of them timing out, and receives some of its
+// induced spikes between slices, just after Now() or ringCap and more
+// ahead of it; the one-shot copy gets those same calls up front. Spike
+// trains, first spikes and causes, the final time, outcome and counters
+// must be equal. MaxQueueDepth is exempt: the one-shot copy holds the
+// later inputs from the start.
+func FuzzRunSlicesVsOneShot(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 42, 1 << 40} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, strict bool) {
+		rule := FireGTE
+		if strict {
+			rule = FireStrict
+		}
+		const horizon = 2*ringCap + 4096
+		r := rand.New(rand.NewSource(seed))
+		build := func() *Network {
+			net, _ := fuzzNetwork(seed, rule, false)
+			wr := rand.New(rand.NewSource(seed))
+			for s := wr.Intn(4); s > 0; s-- {
+				d := 1 + int64(wr.Intn(ringCap-1)) // widens the ring
+				if wr.Intn(2) == 0 {
+					d = ringCap + int64(wr.Intn(2048)) // the far map
+				}
+				net.Connect(wr.Intn(net.N()), wr.Intn(net.N()), float64(wr.Intn(7)-3), d)
+			}
+			return net
+		}
+		type input struct {
+			i int
+			t int64
+		}
+		var inputs []input
+		induce := func(net *Network, at int64) {
+			i := r.Intn(net.N())
+			net.InduceSpike(i, at)
+			inputs = append(inputs, input{i, at})
+		}
+
+		sliced := build()
+		for s := r.Intn(3) + 1; s > 0; s-- {
+			induce(sliced, int64(r.Intn(16)))
+		}
+		var res Result
+		for cut := r.Intn(6); ; cut-- {
+			maxTime := int64(horizon)
+			if cut > 0 {
+				maxTime = int64(r.Intn(horizon))
+			}
+			res = sliced.Run(maxTime)
+			if cut <= 0 {
+				break
+			}
+			// Inputs strictly after Now: a spike induced at Now itself
+			// would open a second step at a time already processed.
+			now := sliced.Now()
+			for s := r.Intn(3); s > 0; s-- {
+				ahead := int64(1 + r.Intn(64))
+				if r.Intn(2) == 0 {
+					ahead += ringCap
+				}
+				induce(sliced, now+ahead)
+			}
+		}
+
+		oneShot := build()
+		for _, in := range inputs {
+			oneShot.InduceSpike(in.i, in.t)
+		}
+		want := oneShot.Run(horizon)
+
+		ws, gs := want.Stats, res.Stats
+		ws.MaxQueueDepth, gs.MaxQueueDepth = 0, 0
+		if ws != gs || want.Now != res.Now || want.Quiescent != res.Quiescent || want.TimedOut != res.TimedOut {
+			t.Fatalf("seed %d: sliced run %+v (stats %+v), one-shot %+v (stats %+v)", seed, res, gs, want, ws)
+		}
+		for i := 0; i < oneShot.N(); i++ {
+			if !slices.Equal(sliced.Spikes(i), oneShot.Spikes(i)) {
+				t.Fatalf("seed %d: neuron %d train %v, one-shot %v", seed, i, sliced.Spikes(i), oneShot.Spikes(i))
+			}
+			if sliced.FirstSpike(i) != oneShot.FirstSpike(i) || sliced.FirstCause(i) != oneShot.FirstCause(i) {
+				t.Fatalf("seed %d: neuron %d first spike %d cause %d, one-shot %d cause %d", seed, i,
+					sliced.FirstSpike(i), sliced.FirstCause(i), oneShot.FirstSpike(i), oneShot.FirstCause(i))
+			}
+		}
+	})
 }

@@ -55,11 +55,16 @@
 // with no staging and no merge. Loading a graph is O(n+m) with a handful
 // of allocations either way, and each neuron's fan-out keeps the order
 // its synapses were added in. Pending events live in pooled, recycled
-// time buckets ordered by a typed min-heap of times; a bucket is found by
-// time through a ring indexed by t mod W (W the power of two above the
-// largest delay under 2^17), and the rare time at or beyond the window
-// (huge delays, injector jitter, far-future inputs) through a small far
-// map. A warm network re-run after Reset allocates nothing unless
+// time buckets, found by time through a ring indexed by t mod W (W the
+// power of two above the largest delay under 2^17, at least 64). A
+// two-level occupancy bitmap over the ring (one bit per slot, one per
+// nonzero bitmap word) finds the next pending time, so no heap orders the
+// steps. The rare time at or beyond the window (huge delays, injector
+// jitter, far-future inputs) waits in a small far map ordered by a
+// min-heap, and moves into the ring as soon as the window reaches it. A
+// new bucket takes its first delivery capacity from a shared slab and a
+// full one doubles, so a fresh run allocates a few dozen times, not once
+// per bucket; a warm network re-run after Reset allocates nothing unless
 // Config.Record keeps spike trains.
 package snn
 
@@ -188,12 +193,16 @@ type Network struct {
 	now int64
 
 	// pending-event queue (see queue.go)
-	times   []int64 // min-heap of pending times
-	buckets []bucket
-	free    []int32 // recycled bucket ids
-	ring    []int32 // bucket id by t & (len-1), or -1
-	far     map[int64]int32
-	base    int64 // latest consumed time; the ring covers [base, base+len(ring))
+	buckets   []bucket
+	free      []int32    // recycled bucket ids
+	slab      []delivery // first delivery capacity of buckets new to the pool
+	ring      []int32    // bucket id by t & (len-1), or -1
+	occ       []uint64   // one bit per ring slot in use
+	summary   []uint64   // one bit per nonzero occ word
+	ringCount int        // ring slots in use
+	far       map[int64]int32
+	times     []int64 // min-heap of the far map's times
+	base      int64   // latest consumed time; the ring covers [base, base+len(ring))
 
 	spikeLog [][]int64
 
@@ -558,16 +567,12 @@ type Result struct {
 //lint:hotpath the outer event loop; every per-iteration allocation scales with run length
 func (n *Network) Run(maxTime int64) Result {
 	n.compact()
-	for len(n.times) > 0 {
-		t := n.times[0]
+	for n.pending() {
+		t := n.next()
 		if t > maxTime {
 			break
 		}
-		n.popTime()
 		id := n.take(t)
-		if t > n.base {
-			n.base = t
-		}
 		n.now = t
 		b := n.buckets[id]
 		n.pendingEvents -= int64(len(b.deliveries) + len(b.forced))
@@ -581,10 +586,10 @@ func (n *Network) Run(maxTime int64) Result {
 			return Result{Halted: true, TerminalTime: t, Now: t, Stats: n.stats}
 		}
 	}
-	if len(n.times) == 0 {
+	if !n.pending() {
 		return Result{Quiescent: true, Now: n.now, Stats: n.stats}
 	}
-	n.now = maxTime
+	n.now = max(n.now, maxTime) // time does not rewind
 	return Result{TimedOut: true, Now: n.now, Stats: n.stats}
 }
 
@@ -696,8 +701,7 @@ func (n *Network) step(t int64, b *bucket) bool {
 				}
 			}
 			nb := n.bucketAt(t + d)
-			//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
-			nb.deliveries = append(nb.deliveries, delivery{to: s.to, from: i, weight: w})
+			nb.schedule(delivery{to: s.to, from: i, weight: w})
 			if n.flight != nil {
 				//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 				nb.delays = append(nb.delays, d)
@@ -787,7 +791,7 @@ func (n *Network) OutSynapses(i int) []SynapseInfo {
 // consumed by Run.
 func (n *Network) InducedSpikes() map[int64][]int {
 	out := make(map[int64][]int)
-	for _, t := range n.times {
+	for _, t := range n.pendingTimes() {
 		for _, i := range n.buckets[n.lookup(t)].forced {
 			out[t] = append(out[t], int(i))
 		}

@@ -3,7 +3,6 @@ package snn
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Static network verification: the no-simulation structural checks a
@@ -92,9 +91,7 @@ func (n *Network) spec() *netSpec {
 			})
 		}
 	}
-	times := slices.Clone(n.times)
-	slices.Sort(times)
-	for _, t := range times {
+	for _, t := range n.pendingTimes() {
 		for _, id := range n.buckets[n.lookup(t)].forced {
 			s.induced = append(s.induced, specInduced{Time: t, Neuron: int(id)})
 		}
