@@ -16,10 +16,10 @@ import (
 
 // cmdSoak drives sustained concurrent load through the instrumented
 // stack: -workers goroutines each run -iters seeded workloads from the
-// mix, every run feeding a local metrics registry through a
-// metrics.Bridge (teed with the per-run manifest recorder). With -addr
-// each finished manifest is also POSTed to a running `spaabench serve`,
-// whose dashboard and /metrics scrape then show the live traffic.
+// mix, and every finished run manifest is folded into a local metrics
+// registry (metrics.Bridge.Fold). With -addr each manifest is also
+// POSTed to a running `spaabench serve`, whose dashboard and /metrics
+// scrape then show the live traffic.
 func cmdSoak(args []string) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	workers := fs.Int("workers", 8, "concurrent worker goroutines")
@@ -38,23 +38,27 @@ func cmdSoak(args []string) error {
 
 	reg := metrics.NewRegistry()
 	bridge := metrics.NewBridge(reg)
+	var client *http.Client
+	base := strings.TrimSuffix(*addr, "/")
+	if *addr != "" {
+		if !strings.Contains(base, "://") {
+			base = "http://" + base // serve prints bare host:port; accept it here too
+		}
+		client = &http.Client{Timeout: 30 * time.Second}
+	}
 	cfg := harness.SoakConfig{
 		Workers:       *workers,
 		Iters:         *iters,
 		Seed:          *seed,
 		Mix:           strings.Split(*mix, ","),
-		Probes:        bridge,
 		Deterministic: *deterministic,
-	}
-	if *addr != "" {
-		base := strings.TrimSuffix(*addr, "/")
-		if !strings.Contains(base, "://") {
-			base = "http://" + base // serve prints bare host:port; accept it here too
-		}
-		client := &http.Client{Timeout: 30 * time.Second}
-		cfg.Submit = func(man *telemetry.Manifest) error {
+		Submit: func(man *telemetry.Manifest) error {
+			bridge.Fold(man)
+			if client == nil {
+				return nil
+			}
 			return postManifest(client, base, man)
-		}
+		},
 	}
 
 	rep, err := harness.Soak(cfg)

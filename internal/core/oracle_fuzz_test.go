@@ -180,3 +180,43 @@ func FuzzKHopVsBellmanFord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzApproxKHopSandwich checks the bicriteria guarantee of ApproxKHop
+// against classic.BellmanFordKHop on small fuzzGraphs (n <= 12 and
+// m <= 24, as in FuzzKHopVsBellmanFord): for every hop bound k from 1 to
+// n-1 and ε in {0.5, 1}, dist_h(v) <= Dist[v] <= (1+ε)·dist_k(v) with
+// h = HopSlack. A finite estimate therefore needs an h-hop witness path,
+// and a vertex with a k-hop path must get a finite estimate. The scale
+// factor ε·2^i/2k is inexact in floating point, so both sides allow a
+// relative slack of 1e-9.
+func FuzzApproxKHopSandwich(f *testing.F) {
+	addGraphSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, srcRaw, _ uint8) {
+		if len(data) == 0 {
+			return
+		}
+		// At most 12 vertices and 24 edges.
+		data = append([]byte{data[0] % 12}, data[1:min(len(data), 1+3*24)]...)
+		g := fuzzGraph(data)
+		n := g.N()
+		src := int(srcRaw) % n
+		const slack = 1 + 1e-9
+		for k := 1; k < n; k++ {
+			distK := classic.BellmanFordKHop(g, src, k, false).Dist
+			for _, eps := range []float64{0.5, 1} {
+				res := ApproxKHop(g, src, k, eps)
+				distH := classic.BellmanFordKHop(g, src, res.HopSlack, false).Dist
+				for v, d := range res.Dist {
+					if d < float64(graph.Inf) && float64(distH[v]) > d*slack {
+						t.Fatalf("n %d src %d k %d eps %v: Dist[%d] = %v below dist_h = %d (h %d, edges %v)",
+							n, src, k, eps, v, d, distH[v], res.HopSlack, g.Edges())
+					}
+					if distK[v] < graph.Inf && d > (1+eps)*float64(distK[v])*slack {
+						t.Fatalf("n %d src %d k %d eps %v: Dist[%d] = %v above (1+eps)·dist_k = %v (edges %v)",
+							n, src, k, eps, v, d, (1+eps)*float64(distK[v]), g.Edges())
+					}
+				}
+			}
+		}
+	})
+}

@@ -26,10 +26,9 @@ var SoakWorkloads = []string{"sssp", "congest", "fleet", "table1"}
 
 // SoakConfig parameterizes a concurrent soak campaign: Workers
 // goroutines each executing Iters seeded runs drawn round-robin from
-// Mix. Every run gets its own telemetry.Recorder (so manifests stay
-// attributable) teed with the shared Probes sink (so a live metrics
-// registry sees the aggregate load); the finished manifest goes to
-// Submit.
+// Mix. Every run gets its own telemetry.Recorder, its only probe; the
+// finished manifest goes to Submit (fold it into a live registry with
+// metrics.Bridge.Fold, or POST it to a serve daemon).
 type SoakConfig struct {
 	// Workers is the goroutine count; Iters the runs per worker.
 	Workers, Iters int
@@ -38,11 +37,6 @@ type SoakConfig struct {
 	Seed int64
 	// Mix lists the workloads to cycle through (default SoakWorkloads).
 	Mix []string
-	// Probes, when non-nil, additionally observes every run (pass a
-	// metrics.Bridge to feed a live registry). If it also implements
-	// ObserveRunStats(maxQueueDepth, silentStepsSkipped int64), completed
-	// runs report their queue-pressure stats through it.
-	Probes telemetry.ProbeSink
 	// Submit, when non-nil, receives every completed run manifest (POST
 	// to a `spaabench serve` daemon, or collect in a test). Called
 	// concurrently from worker goroutines.
@@ -234,19 +228,17 @@ func soakRunnable(name string) bool {
 	return false
 }
 
-// soakRun executes one seeded workload instance: private recorder teed
-// with the shared sink, manifest built the way the corresponding
-// spaabench subcommand builds it, queue-pressure stats reported to the
-// sink, manifest submitted. A perf.Tracker brackets the run, so every
-// soak manifest carries a spaa-perf/v1 section (build / run / report
-// phases, throughput rates, alloc deltas — all zeroed under
-// Deterministic); the engine workloads (sssp, fleet) additionally price
-// energy from the run's snn.Stats, so their manifests carry a
-// spaa-energy/v1 section with a Dijkstra comparator counted on the same
-// instance.
+// soakRun executes one seeded workload instance: a private recorder
+// probes the run, the manifest is built the way the corresponding
+// spaabench subcommand builds it, and the manifest is submitted. A
+// perf.Tracker brackets the run, so every soak manifest carries a
+// spaa-perf/v1 section (build / run / report phases, throughput rates,
+// alloc deltas — all zeroed under Deterministic); the engine workloads
+// (sssp, fleet) additionally price energy from the run's snn.Stats, so
+// their manifests carry a spaa-energy/v1 section with a Dijkstra
+// comparator counted on the same instance.
 func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifest, *snn.Stats, error) {
 	rec := telemetry.NewRecorder()
-	sink := telemetry.Tee(rec, cfg.Probes)
 	man := telemetry.NewManifest("spaabench", workload)
 	man.SetConfig("soak_seed", runSeed)
 	tracker := perf.NewTracker()
@@ -262,7 +254,7 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		g := graph.RandomGnm(96, 384, graph.Uniform(8), runSeed, true)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "random"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, sink)
+		r, err := soakEngineSSSP(g, runSeed, cfg, rec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -274,13 +266,13 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		g := graph.RandomGnm(40, 160, graph.Uniform(8), runSeed, true)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "random"}
 		tracker.Phase("run")
-		_, res := congest.SSSP(g, 0, g.N(), sink)
+		_, res := congest.SSSP(g, 0, g.N(), rec)
 		rec.Add("sssp_rounds", int64(res.Rounds))
 	case "fleet":
 		g := graph.Grid(8, 8, graph.Unit, runSeed)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "grid"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, sink)
+		r, err := soakEngineSSSP(g, runSeed, cfg, rec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -288,13 +280,13 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		stats = &r.Stats
 		classicOps = classic.Dijkstra(g, 0).Ops
 		asn := fleet.PartitionBFS(g, 16)
-		fleet.AnalyzeSSSP(g, asn, r.Dist, sink)
+		fleet.AnalyzeSSSP(g, asn, r.Dist, rec)
 		rec.Add("chips", int64(asn.Chips))
 	case "table1":
 		tracker.Phase("run")
 		RunTable1(Table1Config{
 			Sizes: []int{32}, Density: 4, U: 8, K: 8, C: 4, Seed: runSeed,
-			DistanceProbe: sink,
+			DistanceProbe: rec,
 		})
 		man.SetConfig("sizes", []int{32})
 	default:
@@ -305,22 +297,13 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 	if stats != nil {
 		man.Stats = telemetry.StatsFrom(*stats)
 		tracker.SetTotals(stats.Steps, stats.Spikes, stats.Deliveries, stats.MaxQueueDepth)
-		if o, ok := cfg.Probes.(interface{ ObserveRunStats(int64, int64) }); ok {
-			o.ObserveRunStats(stats.MaxQueueDepth, stats.SilentStepsSkipped)
-		}
 		// Energy is priced only on the engine workloads, from the run's
 		// own stats (silence-skipped steps charged at the idle tariff).
 		man.Energy = energy.NewReport(stats.Spikes, stats.Deliveries, 0, stats.SilentStepsSkipped,
 			stats.Steps, classicOps, energy.Tariffs())
-		if o, ok := cfg.Probes.(interface{ ObserveEnergy(*energy.Report) }); ok {
-			o.ObserveEnergy(man.Energy)
-		}
 	}
 	man.AddRecorder(rec)
 	man.Perf = tracker.Report(cfg.Deterministic)
-	if o, ok := cfg.Probes.(interface{ ObservePerf(*perf.Report) }); ok {
-		o.ObservePerf(man.Perf)
-	}
 	//lint:wallclock manifest finalization stamps real elapsed time; Deterministic zeroes it downstream
 	man.Finalize(start, time.Since(start), telemetry.ManifestOptions{Deterministic: cfg.Deterministic})
 	if cfg.Submit != nil {

@@ -5,27 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/distance"
 	"repro/internal/telemetry"
 )
-
-// countingSink is a minimal ProbeSink counting events atomically (the
-// soak feeds it from many goroutines).
-type countingSink struct {
-	spikes, distanceOps, congestRounds, fleetDeliveries atomic.Int64
-}
-
-func (s *countingSink) OnStep(t int64, spikes, deliveries, active, queueDepth int) {
-	s.spikes.Add(int64(spikes))
-}
-func (s *countingSink) OnDistanceOp(kind distance.OpKind, cost int64) { s.distanceOps.Add(1) }
-func (s *countingSink) OnCongestRound(round int, messages, bits int64) {
-	s.congestRounds.Add(1)
-}
-func (s *countingSink) OnFleetDelivery(t int64, fromChip, toChip int) { s.fleetDeliveries.Add(1) }
 
 func TestSoakRunsEveryWorkload(t *testing.T) {
 	rep, err := Soak(SoakConfig{Workers: 2, Iters: 4, Seed: 1, Deterministic: true})
@@ -129,38 +112,48 @@ func TestSoakSubmitErrorsCounted(t *testing.T) {
 	}
 }
 
-// TestSoakProbeSeesRuns attaches a counting probe and checks the tee:
-// the shared sink observes the same steps the manifests record.
+// TestSoakProbeSeesRuns checks that each run's own recorder probes every
+// instrumented vertical: the submitted manifests' spikes_per_step series
+// sum to the same spikes as their stats and the report, and the DISTANCE,
+// CONGEST and fleet probes reach the manifests' counters and series.
 func TestSoakProbeSeesRuns(t *testing.T) {
-	probe := &countingSink{}
 	var mu sync.Mutex
-	var manifestSpikes int64
+	var statsSpikes, seriesSpikes, distanceOps, congestRounds, fleetDeliveries int64
 	rep, err := Soak(SoakConfig{
 		Workers: 2, Iters: 4, Seed: 11, Deterministic: true,
-		Probes: probe,
 		Submit: func(m *telemetry.Manifest) error {
+			mu.Lock()
+			defer mu.Unlock()
 			if m.Stats != nil {
-				mu.Lock()
-				manifestSpikes += m.Stats.Spikes
-				mu.Unlock()
+				statsSpikes += m.Stats.Spikes
 			}
+			for _, s := range m.Series {
+				switch s.Name {
+				case "spikes_per_step":
+					seriesSpikes += s.Sum()
+				case "messages_per_round":
+					congestRounds += int64(len(s.Values))
+				}
+			}
+			distanceOps += m.Counters["distance_loads"] + m.Counters["distance_stores"] + m.Counters["distance_ops"]
+			fleetDeliveries += m.Counters["fleet_intra"] + m.Counters["fleet_inter"]
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := probe.spikes.Load(); got != rep.Spikes || got != manifestSpikes {
-		t.Errorf("probe saw %d spikes, report %d, manifests %d — must all agree",
-			got, rep.Spikes, manifestSpikes)
+	if seriesSpikes == 0 || seriesSpikes != rep.Spikes || seriesSpikes != statsSpikes {
+		t.Errorf("series carry %d spikes, report %d, manifest stats %d — must all agree",
+			seriesSpikes, rep.Spikes, statsSpikes)
 	}
-	if probe.distanceOps.Load() == 0 {
-		t.Error("probe saw no DISTANCE ops; table1 workload not teed")
+	if distanceOps == 0 {
+		t.Error("manifests carry no DISTANCE ops; table1 workload not probed")
 	}
-	if probe.congestRounds.Load() == 0 {
-		t.Error("probe saw no CONGEST rounds; congest workload not teed")
+	if congestRounds == 0 {
+		t.Error("manifests carry no CONGEST rounds; congest workload not probed")
 	}
-	if probe.fleetDeliveries.Load() == 0 {
-		t.Error("probe saw no fleet deliveries; fleet workload not teed")
+	if fleetDeliveries == 0 {
+		t.Error("manifests carry no fleet deliveries; fleet workload not probed")
 	}
 }

@@ -9,10 +9,10 @@ import (
 
 // ProbeAlloc enforces the probe fabric's zero-allocation contract
 // statically. The telemetry layer promises that attaching a probe costs
-// the engine scalar calls only — no per-event heap traffic — and PR 2/PR 5
-// guard that promise with benchmarks (BenchmarkEngineProbeOverhead,
-// TestBridgeZeroAlloc). Benchmarks catch regressions after the fact; this
-// analyzer refuses them at review time.
+// the engine scalar calls only — no per-event heap traffic — and
+// benchmarks guard that promise (BenchmarkEngineProbeOverhead,
+// TestEngineSteadyStateZeroAlloc). Benchmarks catch regressions after the
+// fact; this analyzer refuses them at review time.
 //
 // Two kinds of function are checked:
 //
@@ -27,7 +27,7 @@ import (
 // function literals are diagnostics, as is a call into another analyzed
 // package whose facts mark the callee as allocating. Deliberate
 // allocations (e.g. telemetry.Recorder's amortized series appends — it is
-// the offline manifest recorder, not the lock-free bridge) are recorded in
+// the offline manifest recorder, not an engine-side counter) are recorded in
 // the committed spaavet baseline or waived in place with //lint:probealloc.
 var ProbeAlloc = &analysis.Analyzer{
 	Name: "probealloc",

@@ -34,9 +34,9 @@ func badNames(r *Registry, dynamic string) {
 }
 
 func badLabels(r *Registry, key string) {
-	r.Counter("spaa_a_total", "h", Label{Key: "neuron", Value: "7"}) // want "unbounded cardinality"
-	r.Counter("spaa_b_total", "h", Label{Key: "seed", Value: "1"})   // want "unbounded cardinality"
-	r.Gauge("spaa_c", "h", Label{"run", "42"})                       // want "unbounded cardinality"
+	r.Counter("spaa_a_total", "h", Label{Key: "neuron", Value: "7"})  // want "unbounded cardinality"
+	r.Counter("spaa_b_total", "h", Label{Key: "seed", Value: "1"})    // want "unbounded cardinality"
+	r.Gauge("spaa_c", "h", Label{"run", "42"})                        // want "unbounded cardinality"
 	r.Counter("spaa_d_total", "h", Label{Key: "bad-key", Value: "v"}) // want "invalid Prometheus label key"
 	r.Counter("spaa_e_total", "h", Label{Key: key, Value: "v"})       // want "must be a constant string"
 	r.Counter("spaa_f_total", "h", Label{Value: "v"})                 // want "does not set Key"

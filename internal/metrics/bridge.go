@@ -4,12 +4,13 @@ import (
 	"repro/internal/distance"
 	"repro/internal/energy"
 	"repro/internal/perf"
+	"repro/internal/telemetry"
 )
 
-// Canonical metric names of the probe-fabric bridge. The same families
-// are written by Server.Ingest when folding a remote run manifest, so a
-// scrape looks identical whether the workload ran in-process (probes)
-// or pushed manifests over HTTP (soak against serve).
+// Canonical metric names of the live registry. Bridge.Fold writes
+// every one of them from a run manifest, so a scrape looks identical
+// whether the runs were folded in-process (spaabench soak) or pushed as
+// manifests over HTTP (soak against serve, Server.Ingest).
 const (
 	MetricSteps        = "spaa_snn_steps_total"
 	MetricSpikes       = "spaa_snn_spikes_total"
@@ -25,7 +26,7 @@ const (
 	MetricCongestBits  = "spaa_congest_bits_total"
 	MetricFleetDeliver = "spaa_fleet_deliveries_total"
 
-	// Throughput families fed by spaa-perf/v1 reports (ObservePerf).
+	// Throughput families fed by a manifest's spaa-perf/v1 section.
 	// The rate gauges are campaign high-water marks (SetMax), so a
 	// scrape mid-soak answers "how fast has a run gone", independent of
 	// which workload finished last.
@@ -36,7 +37,7 @@ const (
 	MetricPerfAllocObjects = "spaa_perf_alloc_objects_total"
 	MetricPerfGCCycles     = "spaa_perf_gc_cycles_total"
 
-	// Energy families fed by spaa-energy/v1 reports (ObserveEnergy).
+	// Energy families fed by a manifest's spaa-energy/v1 section.
 	// Spiking totals carry a platform label (the bounded Table 3 set);
 	// the advantage gauge is a campaign high-water mark in milli-x,
 	// matching the report's integral AdvantageMilli.
@@ -60,17 +61,12 @@ func perfPhaseIndex(name string) int {
 	return 3
 }
 
-// Bridge adapts the engine probe fabric to a Registry: it satisfies
-// snn.StepProbe, distance.Probe, congest.Probe, and fleet.Probe
-// (structurally — no engine package imports metrics) and turns every
-// callback into atomic updates on pre-resolved collectors. The contract
-// matches telemetry.Recorder's: scalar arguments only, zero allocations
-// per event, and a nil *Bridge is a no-op on every method, so the
-// nil-bridge path costs the engine the same as running uninstrumented
-// (guarded by BenchmarkEngineBridgeOverhead / TestBridgeZeroAlloc).
-//
-// Compose a Bridge with a telemetry.Recorder via telemetry.Tee to feed
-// live metrics and the run manifest from one probed run.
+// Bridge folds run manifests into a Registry: Fold is the one path by
+// which a run's cost account (stats, counters, per-step and per-round
+// series, perf and energy sections) reaches the live scrape. Every
+// collector is resolved once in NewBridge, so a fold touches only
+// atomics, and Fold is safe for concurrent use. A nil *Bridge folds
+// nothing.
 type Bridge struct {
 	steps, spikes, deliveries, active *Counter
 	queueDepth, silentSteps           *Gauge
@@ -98,8 +94,7 @@ type Bridge struct {
 }
 
 // NewBridge resolves every canonical collector in reg and returns the
-// bridge. Resolution happens once, here, so the probe callbacks touch
-// only atomics.
+// bridge. Resolution happens once, here, so Fold touches only atomics.
 func NewBridge(reg *Registry) *Bridge {
 	names := energy.PlatformNames()
 	spiking := make([]*Counter, len(names))
@@ -145,76 +140,77 @@ func NewBridge(reg *Registry) *Bridge {
 	}
 }
 
-// OnStep implements snn.StepProbe.
-func (b *Bridge) OnStep(t int64, spikes, deliveries, active, queueDepth int) {
-	if b == nil {
+// Fold adds one run manifest to the registry: the simulator stats, the
+// known counters (congest_*, distance_*, fleet_*), the active-neuron,
+// spikes-per-step and CONGEST-round families derived from the
+// active_per_step, spikes_per_step and messages_per_round series, and
+// the perf and energy sections. Unknown counters and series are
+// ignored. Called once per run, off the engine's hot path.
+func (b *Bridge) Fold(m *telemetry.Manifest) {
+	if b == nil || m == nil {
 		return
 	}
-	b.steps.Inc()
-	b.spikes.Add(int64(spikes))
-	b.deliveries.Add(int64(deliveries))
-	b.active.Add(int64(active))
-	b.queueDepth.SetMax(int64(queueDepth))
-	b.stepSpikes.Observe(int64(spikes))
+	if s := m.Stats; s != nil {
+		b.steps.Add(s.Steps)
+		b.spikes.Add(s.Spikes)
+		b.deliveries.Add(s.Deliveries)
+		b.queueDepth.SetMax(s.MaxQueueDepth)
+		b.silentSteps.Add(s.SilentStepsSkipped)
+	}
+	for i := range m.Series {
+		s := &m.Series[i]
+		switch s.Name {
+		case "active_per_step":
+			b.active.Add(s.Sum())
+		case "spikes_per_step":
+			for _, v := range s.Values {
+				b.stepSpikes.Observe(v)
+			}
+		case "messages_per_round":
+			b.congestRounds.Add(int64(len(s.Values)))
+		}
+	}
+	//lint:deterministic each key adds to its own pre-resolved counter; adds commute
+	for k, v := range m.Counters {
+		if c := b.counter(k); c != nil {
+			c.Add(v)
+		}
+	}
+	b.foldPerf(m.Perf)
+	b.foldEnergy(m.Energy)
 }
 
-// OnDistanceOp implements distance.Probe.
-func (b *Bridge) OnDistanceOp(kind distance.OpKind, cost int64) {
-	if b == nil {
-		return
+// counter maps a manifest counter key (telemetry.Recorder's spelling)
+// onto its canonical collector, or nil for keys with no live family.
+func (b *Bridge) counter(key string) *Counter {
+	switch key {
+	case "distance_loads":
+		return b.distOps[distance.KindLoad]
+	case "distance_stores":
+		return b.distOps[distance.KindStore]
+	case "distance_ops":
+		return b.distOps[distance.KindOp]
+	case "distance_movement":
+		return b.distMove
+	case "congest_messages":
+		return b.congestMessages
+	case "congest_bits":
+		return b.congestBits
+	case "fleet_intra":
+		return b.fleetIntra
+	case "fleet_inter":
+		return b.fleetInter
 	}
-	i := int(kind)
-	if i < 0 || i >= len(b.distOps) {
-		i = len(b.distOps) - 1 // unknown kinds count as generic ops
-	}
-	b.distOps[i].Inc()
-	b.distMove.Add(cost)
+	return nil
 }
 
-// OnCongestRound implements congest.Probe.
-func (b *Bridge) OnCongestRound(round int, messages, bits int64) {
-	if b == nil {
-		return
-	}
-	b.congestRounds.Inc()
-	b.congestMessages.Add(messages)
-	b.congestBits.Add(bits)
-}
-
-// OnFleetDelivery implements fleet.Probe.
-func (b *Bridge) OnFleetDelivery(t int64, fromChip, toChip int) {
-	if b == nil {
-		return
-	}
-	if fromChip == toChip {
-		b.fleetIntra.Inc()
-	} else {
-		b.fleetInter.Inc()
-	}
-}
-
-// ObserveRunStats folds a completed run's aggregate simulator statistics
-// into the registry: the queue-pressure signals (MaxQueueDepth high-water
-// gauge, SilentStepsSkipped accumulation) that snn.Stats has carried
-// since the telemetry PR but the live scrape could not see. Arguments
-// are scalars so callers pass snn.Stats fields without this package
-// importing the engine.
-func (b *Bridge) ObserveRunStats(maxQueueDepth, silentStepsSkipped int64) {
-	if b == nil {
-		return
-	}
-	b.queueDepth.SetMax(maxQueueDepth)
-	b.silentSteps.Add(silentStepsSkipped)
-}
-
-// ObservePerf folds one spaa-perf/v1 report into the throughput
-// families. Wall-derived quantities are recorded only when the report
-// carries real wall data (deterministic reports have it zeroed — there
-// is nothing meaningful to observe); queue occupancy always folds into
-// the canonical queue-depth high-water gauge. Called once per run, off
-// the hot path.
-func (b *Bridge) ObservePerf(r *perf.Report) {
-	if b == nil || r == nil {
+// foldPerf folds one spaa-perf/v1 report into the throughput families.
+// Wall-derived quantities are recorded only when the report carries
+// real wall data (deterministic reports have it zeroed — there is
+// nothing meaningful to observe); queue occupancy always folds into the
+// canonical queue-depth high-water gauge.
+func (b *Bridge) foldPerf(r *perf.Report) {
+	if r == nil {
 		return
 	}
 	b.queueDepth.SetMax(r.MaxQueueDepth)
@@ -237,16 +233,15 @@ func (b *Bridge) ObservePerf(r *perf.Report) {
 	}
 }
 
-// ObserveEnergy folds one spaa-energy/v1 report into the energy
-// families: the classic comparator total, and per-platform spiking
-// totals plus advantage high-water marks. Rows are matched onto the
-// bridge's fixed platform vocabulary; unknown platform names in remote
-// manifests are dropped rather than growing series cardinality.
-// Unpublished-tariff rows (SpikingMilliPJ 0) contribute nothing —
-// their scrape lines stay at zero, the wire spelling of "-". Called
-// once per run, off the hot path.
-func (b *Bridge) ObserveEnergy(r *energy.Report) {
-	if b == nil || r == nil {
+// foldEnergy folds one spaa-energy/v1 report into the energy families:
+// the classic comparator total, and per-platform spiking totals plus
+// advantage high-water marks. Rows are matched onto the bridge's fixed
+// platform vocabulary; unknown platform names in remote manifests are
+// dropped rather than growing series cardinality. Unpublished-tariff
+// rows (SpikingMilliPJ 0) contribute nothing — their scrape lines stay
+// at zero, the wire spelling of "-".
+func (b *Bridge) foldEnergy(r *energy.Report) {
+	if r == nil {
 		return
 	}
 	if r.ClassicMilliPJ > 0 {

@@ -3,29 +3,31 @@ package metrics
 import (
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/core"
-	"repro/internal/distance"
-	"repro/internal/fleet"
 	"repro/internal/graph"
-	"repro/internal/snn"
-)
-
-// Compile-time checks: Bridge satisfies every probe interface of the
-// engine fabric (structurally — no engine package imports metrics).
-var (
-	_ snn.StepProbe  = (*Bridge)(nil)
-	_ distance.Probe = (*Bridge)(nil)
-	_ congest.Probe  = (*Bridge)(nil)
-	_ fleet.Probe    = (*Bridge)(nil)
+	"repro/internal/telemetry"
 )
 
 func TestBridgeCounts(t *testing.T) {
 	reg := NewRegistry()
 	b := NewBridge(reg)
 
-	b.OnStep(1, 3, 7, 5, 11)
-	b.OnStep(2, 1, 2, 3, 4)
+	m := telemetry.NewManifest("spaabench", "test")
+	m.Stats = &telemetry.RunStats{Spikes: 4, Deliveries: 9, Steps: 2, MaxQueueDepth: 11, SilentStepsSkipped: 12}
+	m.Series = []telemetry.Series{
+		{Name: "spikes_per_step", Times: []int64{1, 2}, Values: []int64{3, 1}},
+		{Name: "active_per_step", Times: []int64{1, 2}, Values: []int64{5, 3}},
+		{Name: "messages_per_round", Times: []int64{0, 1}, Values: []int64{40, 10}},
+		{Name: "chip0_sends_per_step", Times: []int64{0}, Values: []int64{99}}, // no live family
+	}
+	m.Counters = map[string]int64{
+		"distance_loads": 1, "distance_stores": 1, "distance_ops": 2, "distance_movement": 16,
+		"congest_messages": 50, "congest_bits": 400,
+		"fleet_intra": 1, "fleet_inter": 2,
+		"neurons": 7, // no live family
+	}
+	b.Fold(m)
+
 	if got := reg.Counter(MetricSpikes, "").Value(); got != 4 {
 		t.Errorf("spikes = %d, want 4", got)
 	}
@@ -35,33 +37,24 @@ func TestBridgeCounts(t *testing.T) {
 	if got := reg.Counter(MetricSteps, "").Value(); got != 2 {
 		t.Errorf("steps = %d, want 2", got)
 	}
-	if got := reg.Gauge(MetricQueueDepth, "").Value(); got != 11 {
-		t.Errorf("queue depth high water = %d, want 11", got)
+	if got := reg.Counter(MetricActive, "").Value(); got != 8 {
+		t.Errorf("active neurons = %d, want 8", got)
 	}
-
-	b.OnDistanceOp(distance.KindLoad, 10)
-	b.OnDistanceOp(distance.KindStore, 5)
-	b.OnDistanceOp(distance.KindOp, 0)
-	b.OnDistanceOp(distance.OpKind(99), 1) // unknown kind folds into "op"
+	if got := reg.Histogram(MetricStepSpikes, "").Count(); got != 2 {
+		t.Errorf("step-spikes observations = %d, want 2", got)
+	}
 	if got := reg.Counter(MetricDistanceL1, "").Value(); got != 16 {
 		t.Errorf("l1 movement = %d, want 16", got)
 	}
 	if got := reg.Counter(MetricDistanceOps, "", Label{Key: "kind", Value: "op"}).Value(); got != 2 {
 		t.Errorf("op-kind count = %d, want 2", got)
 	}
-
-	b.OnCongestRound(0, 40, 320)
-	b.OnCongestRound(1, 10, 80)
 	if got := reg.Counter(MetricCongestBits, "").Value(); got != 400 {
 		t.Errorf("congest bits = %d, want 400", got)
 	}
 	if got := reg.Counter(MetricCongestRnds, "").Value(); got != 2 {
 		t.Errorf("congest rounds = %d, want 2", got)
 	}
-
-	b.OnFleetDelivery(0, 1, 1)
-	b.OnFleetDelivery(0, 1, 2)
-	b.OnFleetDelivery(0, 2, 1)
 	if got := reg.Counter(MetricFleetDeliver, "", Label{Key: "route", Value: "intra"}).Value(); got != 1 {
 		t.Errorf("intra = %d, want 1", got)
 	}
@@ -69,94 +62,57 @@ func TestBridgeCounts(t *testing.T) {
 		t.Errorf("inter = %d, want 2", got)
 	}
 
-	b.ObserveRunStats(37, 12)
-	b.ObserveRunStats(20, 8)
-	if got := reg.Gauge(MetricQueueDepth, "").Value(); got != 37 {
-		t.Errorf("run-stats queue depth = %d, want 37", got)
+	// Queue depth is a high-water mark; silent steps accumulate.
+	m.Stats.MaxQueueDepth = 3
+	b.Fold(m)
+	if got := reg.Gauge(MetricQueueDepth, "").Value(); got != 11 {
+		t.Errorf("queue depth high water = %d, want 11", got)
 	}
-	if got := reg.Gauge(MetricSilentSteps, "").Value(); got != 20 {
-		t.Errorf("silent steps = %d, want 20", got)
+	if got := reg.Gauge(MetricSilentSteps, "").Value(); got != 24 {
+		t.Errorf("silent steps = %d, want 24", got)
 	}
 }
 
-// TestNilBridgeSafe exercises every probe method on a nil *Bridge — the
-// uninstrumented path must be a no-op, not a panic.
+// TestNilBridgeSafe: folding through a nil *Bridge, or folding a nil or
+// empty manifest, is a no-op, not a panic.
 func TestNilBridgeSafe(t *testing.T) {
 	var b *Bridge
-	b.OnStep(0, 1, 2, 3, 4)
-	b.OnDistanceOp(distance.KindLoad, 1)
-	b.OnCongestRound(0, 1, 8)
-	b.OnFleetDelivery(0, 0, 1)
-	b.ObserveRunStats(1, 1)
+	b.Fold(telemetry.NewManifest("spaabench", "test"))
+	NewBridge(NewRegistry()).Fold(nil)
+	NewBridge(NewRegistry()).Fold(telemetry.NewManifest("spaabench", "test"))
 }
 
-// TestBridgeZeroAlloc pins the probe contract: no allocations per event
-// on any callback path.
-func TestBridgeZeroAlloc(t *testing.T) {
-	b := NewBridge(NewRegistry())
-	if n := testing.AllocsPerRun(100, func() { b.OnStep(1, 2, 3, 4, 5) }); n != 0 {
-		t.Errorf("OnStep allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { b.OnDistanceOp(distance.KindLoad, 3) }); n != 0 {
-		t.Errorf("OnDistanceOp allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { b.OnCongestRound(1, 2, 16) }); n != 0 {
-		t.Errorf("OnCongestRound allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { b.OnFleetDelivery(1, 0, 1) }); n != 0 {
-		t.Errorf("OnFleetDelivery allocates %.1f/op, want 0", n)
-	}
-}
-
-// TestBridgeMatchesEngineStats runs the spiking SSSP once uninstrumented
-// and once through a bridge; the scraped counters must equal the
-// engine's own aggregate stats.
+// TestBridgeMatchesEngineStats runs the spiking SSSP under a recorder
+// and folds its manifest; the scraped counters must equal the engine's
+// own aggregate stats.
 func TestBridgeMatchesEngineStats(t *testing.T) {
 	g := graph.RandomGnm(128, 512, graph.Uniform(8), 7, true)
-	bare, err := core.SSSP(g, 0, -1)
+	rec := telemetry.NewRecorder()
+	res, err := core.SSSP(g, 0, -1, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := telemetry.NewManifest("spaabench", "sssp")
+	m.Stats = telemetry.StatsFrom(res.Stats)
+	m.AddRecorder(rec)
 	reg := NewRegistry()
-	b := NewBridge(reg)
-	probed, err := core.SSSP(g, 0, -1, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probed.Stats.Spikes != bare.Stats.Spikes {
-		t.Fatalf("probed run diverged: %d spikes vs %d", probed.Stats.Spikes, bare.Stats.Spikes)
-	}
-	if got := reg.Counter(MetricSpikes, "").Value(); got != bare.Stats.Spikes {
-		t.Errorf("bridge spikes = %d, engine says %d", got, bare.Stats.Spikes)
-	}
-	if got := reg.Counter(MetricDeliveries, "").Value(); got != bare.Stats.Deliveries {
-		t.Errorf("bridge deliveries = %d, engine says %d", got, bare.Stats.Deliveries)
-	}
-	if got := reg.Counter(MetricSteps, "").Value(); got != bare.Stats.Steps {
-		t.Errorf("bridge steps = %d, engine says %d", got, bare.Stats.Steps)
-	}
-}
+	NewBridge(reg).Fold(m)
 
-// BenchmarkEngineBridgeOverhead guards the acceptance bound: the nil
-// *Bridge path must match the uninstrumented engine's allocs/op (a nil
-// probe is one branch), and the live path must stay allocation-flat per
-// run despite feeding the registry every step.
-func BenchmarkEngineBridgeOverhead(b *testing.B) {
-	g := graph.RandomGnm(1024, 4096, graph.Uniform(8), 42, true)
-	run := func(b *testing.B, probes ...snn.StepProbe) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SSSP(g, 0, -1, probes...); err != nil {
-				b.Fatal(err)
-			}
-		}
+	if got := reg.Counter(MetricSpikes, "").Value(); got != res.Stats.Spikes {
+		t.Errorf("folded spikes = %d, engine says %d", got, res.Stats.Spikes)
 	}
-	b.Run("uninstrumented", func(b *testing.B) { run(b) })
-	b.Run("nil-bridge", func(b *testing.B) {
-		var nb *Bridge
-		run(b, nb)
-	})
-	b.Run("live-bridge", func(b *testing.B) {
-		run(b, NewBridge(NewRegistry()))
-	})
+	if got := reg.Counter(MetricDeliveries, "").Value(); got != res.Stats.Deliveries {
+		t.Errorf("folded deliveries = %d, engine says %d", got, res.Stats.Deliveries)
+	}
+	if got := reg.Counter(MetricSteps, "").Value(); got != res.Stats.Steps {
+		t.Errorf("folded steps = %d, engine says %d", got, res.Stats.Steps)
+	}
+	h := reg.Histogram(MetricStepSpikes, "")
+	if h.Count() != res.Stats.Steps || h.Sum() != res.Stats.Spikes {
+		t.Errorf("step-spikes histogram count %d sum %d, engine says %d steps %d spikes",
+			h.Count(), h.Sum(), res.Stats.Steps, res.Stats.Spikes)
+	}
+	if got, want := reg.Counter(MetricActive, "").Value(), rec.StepSeries("active").Sum(); got != want || got == 0 {
+		t.Errorf("folded active neurons = %d, recorder says %d", got, want)
+	}
 }

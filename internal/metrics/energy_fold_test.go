@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/energy"
+	"repro/internal/telemetry"
 )
 
 func energyReport() *energy.Report {
@@ -15,7 +16,7 @@ func TestBridgeObserveEnergy(t *testing.T) {
 	reg := NewRegistry()
 	b := NewBridge(reg)
 	r := energyReport()
-	b.ObserveEnergy(r)
+	b.Fold(&telemetry.Manifest{Energy: r})
 
 	var w strings.Builder
 	if err := reg.WritePrometheus(&w); err != nil {
@@ -40,7 +41,7 @@ func TestBridgeObserveEnergy(t *testing.T) {
 	// The advantage gauge is a high-water mark: a later low-advantage run
 	// must not lower it.
 	low := energy.NewReport(1, 1, 0, 0, 1, 1, energy.Tariffs())
-	b.ObserveEnergy(low)
+	b.Fold(&telemetry.Manifest{Energy: low})
 	w.Reset()
 	if err := reg.WritePrometheus(&w); err != nil {
 		t.Fatal(err)
@@ -50,8 +51,8 @@ func TestBridgeObserveEnergy(t *testing.T) {
 	}
 
 	var nilBridge *Bridge
-	nilBridge.ObserveEnergy(energyReport()) // must not panic
-	b.ObserveEnergy(nil)                    // must not panic
+	nilBridge.Fold(&telemetry.Manifest{Energy: energyReport()}) // must not panic
+	b.Fold(&telemetry.Manifest{})                               // must not panic
 }
 
 // TestBridgeObserveEnergyClampsPlatform: unknown platform names in
@@ -63,7 +64,7 @@ func TestBridgeObserveEnergyClampsPlatform(t *testing.T) {
 	r.Platforms = append(r.Platforms, energy.PlatformEnergy{
 		Platform: "totally-unbounded-platform-42", SpikingMilliPJ: 7, AdvantageMilli: 9,
 	})
-	b.ObserveEnergy(r)
+	b.Fold(&telemetry.Manifest{Energy: r})
 
 	var w strings.Builder
 	if err := reg.WritePrometheus(&w); err != nil {

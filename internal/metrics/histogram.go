@@ -16,9 +16,8 @@ import (
 const histBuckets = 21
 
 // Histogram is a log2-bucketed histogram of non-negative int64
-// observations. Observe is lock-free (one atomic add on the bucket, one
-// on the sum), so the engine-side Bridge can feed it from the step loop
-// without allocation. Bucket bounds are fixed powers of two: coarse, but
+// observations. Observe is lock-free and allocation-free (one atomic add
+// on the bucket, one on the sum). Bucket bounds are fixed powers of two: coarse, but
 // quantile estimates interpolate within a bucket, keeping relative error
 // bounded by the bucket growth factor — accurate enough for the p50/p90/
 // p99 the dashboard shows.

@@ -8,10 +8,9 @@
 // production deployment serving sustained traffic needs.
 //
 // The write path is lock-free: every collector is a fixed set of atomic
-// words, so probes can feed the registry from the engine step loop under
-// the same zero-allocation contract the probe fabric guarantees (see
-// Bridge). Registration takes a registry-level mutex and is expected at
-// setup time only.
+// words, so concurrent runs fold their manifests without contention (see
+// Bridge.Fold). Registration takes a registry-level mutex and is expected
+// at setup time only.
 //
 // Metric names follow the Prometheus conventions and the repository
 // scheme documented in docs/OBSERVABILITY.md: `spaa_` prefix, `_total`

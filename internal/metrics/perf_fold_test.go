@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/perf"
+	"repro/internal/telemetry"
 )
 
 func perfReport() *perf.Report {
@@ -30,7 +31,7 @@ func perfReport() *perf.Report {
 func TestBridgeObservePerf(t *testing.T) {
 	reg := NewRegistry()
 	b := NewBridge(reg)
-	b.ObservePerf(perfReport())
+	b.Fold(&telemetry.Manifest{Perf: perfReport()})
 
 	var w strings.Builder
 	if err := reg.WritePrometheus(&w); err != nil {
@@ -60,7 +61,7 @@ func TestBridgeObservePerf(t *testing.T) {
 	// lower them.
 	slow := perfReport()
 	slow.StepsPerSec, slow.DeliveriesPerSec = 10, 20
-	b.ObservePerf(slow)
+	b.Fold(&telemetry.Manifest{Perf: slow})
 	w.Reset()
 	if err := reg.WritePrometheus(&w); err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestBridgeObservePerfDeterministic(t *testing.T) {
 	b := NewBridge(reg)
 	r := perfReport()
 	r.ZeroWallClock()
-	b.ObservePerf(r)
+	b.Fold(&telemetry.Manifest{Perf: r})
 
 	var w strings.Builder
 	if err := reg.WritePrometheus(&w); err != nil {
@@ -96,8 +97,8 @@ func TestBridgeObservePerfDeterministic(t *testing.T) {
 	}
 
 	var nilBridge *Bridge
-	nilBridge.ObservePerf(perfReport()) // must not panic
-	b.ObservePerf(nil)                  // must not panic
+	nilBridge.Fold(&telemetry.Manifest{Perf: perfReport()}) // must not panic
+	b.Fold(&telemetry.Manifest{})                           // must not panic
 }
 
 // TestBridgeObservePerfClampsPhase: unknown phase names fold into the
@@ -107,7 +108,7 @@ func TestBridgeObservePerfClampsPhase(t *testing.T) {
 	b := NewBridge(reg)
 	r := perfReport()
 	r.Phases = []perf.PhaseReport{{Name: "totally-unbounded-name-42", WallMS: 5}}
-	b.ObservePerf(r)
+	b.Fold(&telemetry.Manifest{Perf: r})
 
 	var w strings.Builder
 	if err := reg.WritePrometheus(&w); err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -80,15 +79,13 @@ type Totals struct {
 
 // Server is the live-metrics daemon behind `spaabench serve`: it owns a
 // Registry, ingests spaa-run-manifest/v1 documents over POST /runs,
-// folds their cost measures into the registry's canonical families (the
-// same ones Bridge writes, so in-process and pushed runs scrape
-// identically), and fans per-run summaries out to SSE subscribers.
+// folds each through Bridge.Fold (the same fold spaabench soak applies
+// locally, so in-process and pushed runs scrape identically), and fans
+// per-run summaries out to SSE subscribers.
 type Server struct {
 	reg *Registry
 
-	// bridge carries the pre-resolved canonical collectors; ingest
-	// reuses its ObservePerf fold so pushed spaa-perf/v1 sections land
-	// in the same throughput families an in-process Bridge writes.
+	// bridge folds every ingested manifest into the canonical families.
 	bridge *Bridge
 	// runtime samples Go process health (goroutines, heap, GC pauses)
 	// at the top of every /metrics scrape.
@@ -183,7 +180,17 @@ func (s *Server) Ingest(m *telemetry.Manifest) RunSummary {
 		sum.MaxQueueDepth = m.Stats.MaxQueueDepth
 		sum.SilentStepsSkipped = m.Stats.SilentStepsSkipped
 	}
-	s.foldRegistry(m, &sum)
+	s.bridge.Fold(m)
+	command := m.Command
+	if command == "" {
+		command = "unknown"
+	}
+	s.runsIngested.Inc()
+	s.reg.Counter("spaa_runs_total", "ingested runs by workload", Label{Key: "workload", Value: command}).Inc()
+	s.wallHist.Observe(int64(m.WallMS))
+	if m.Stats != nil {
+		s.runSpikes.Observe(m.Stats.Spikes)
+	}
 	if m.Trace != nil {
 		// Pushed spaa-trace/v1 sections land in the same spaa_trace_*
 		// families the live service writes, and their sampled traces join
@@ -219,81 +226,6 @@ func (s *Server) Ingest(m *telemetry.Manifest) RunSummary {
 	}
 	s.mu.Unlock()
 	return sum
-}
-
-// foldRegistry maps a manifest's stats and counters onto the canonical
-// metric families Bridge writes, plus the server-side per-run
-// histograms.
-func (s *Server) foldRegistry(m *telemetry.Manifest, sum *RunSummary) {
-	command := m.Command
-	if command == "" {
-		command = "unknown"
-	}
-	s.runsIngested.Inc()
-	s.reg.Counter("spaa_runs_total", "ingested runs by workload", Label{Key: "workload", Value: command}).Inc()
-	s.wallHist.Observe(int64(m.WallMS))
-
-	if m.Stats != nil {
-		s.reg.Counter(MetricSpikes, "total neuron firings").Add(m.Stats.Spikes)
-		s.reg.Counter(MetricDeliveries, "total synaptic deliveries (energy proxy)").Add(m.Stats.Deliveries)
-		s.reg.Counter(MetricSteps, "non-silent simulated steps processed").Add(m.Stats.Steps)
-		s.reg.Gauge(MetricQueueDepth, "high-water mark of the pending event queue").SetMax(m.Stats.MaxQueueDepth)
-		s.reg.Gauge(MetricSilentSteps, "simulated steps skipped by the silence optimization").Add(m.Stats.SilentStepsSkipped)
-		s.runSpikes.Observe(m.Stats.Spikes)
-	}
-	// The perf and energy sections fold through the same paths an
-	// in-process Bridge uses, so pushed and probed runs populate
-	// identical families.
-	s.bridge.ObservePerf(m.Perf)
-	s.bridge.ObserveEnergy(m.Energy)
-	// Manifest counters carry the non-snn cost measures; map the known
-	// families onto their canonical series.
-	for _, kv := range sortedCounters(m.Counters) {
-		switch kv.k {
-		case "congest_messages":
-			s.reg.Counter(MetricCongestMsgs, "CONGEST messages exchanged").Add(kv.v)
-		case "congest_bits":
-			s.reg.Counter(MetricCongestBits, "CONGEST bits exchanged").Add(kv.v)
-		case "distance_movement":
-			s.reg.Counter(MetricDistanceL1, "accumulated l1 data movement").Add(kv.v)
-		case "fleet_intra":
-			s.reg.Counter(MetricFleetDeliver, "chip-level spike deliveries", Label{Key: "route", Value: "intra"}).Add(kv.v)
-		case "fleet_inter":
-			s.reg.Counter(MetricFleetDeliver, "chip-level spike deliveries", Label{Key: "route", Value: "inter"}).Add(kv.v)
-		default:
-			if kind, ok := strings.CutPrefix(kv.k, "distance_"); ok && strings.HasSuffix(kind, "s") {
-				kind = strings.TrimSuffix(kind, "s")
-				if kind == "load" || kind == "store" || kind == "op" {
-					s.reg.Counter(MetricDistanceOps, "DISTANCE-machine primitives", Label{Key: "kind", Value: kind}).Add(kv.v)
-				}
-			}
-		}
-	}
-}
-
-type counterKV struct {
-	k string
-	v int64
-}
-
-// sortedCounters returns the manifest counters in deterministic order
-// (registration order inside foldRegistry must not depend on map
-// iteration).
-func sortedCounters(m map[string]int64) []counterKV {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]counterKV, 0, len(m))
-	//lint:deterministic keys are sorted below before use
-	for k, v := range m {
-		out = append(out, counterKV{k, v})
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].k < out[j-1].k; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Handler returns the daemon's full route table:

@@ -321,11 +321,10 @@ func TestSoakServeAcceptance(t *testing.T) {
 	}
 }
 
-// TestScrapeDuringSoak scrapes /metrics while a soak mutates the
-// registry through a live bridge — the -race CI job's target.
+// TestScrapeDuringSoak scrapes /metrics while a soak ingests its
+// manifests into the registry — the -race CI job's target.
 func TestScrapeDuringSoak(t *testing.T) {
 	srv := NewServer(NewRegistry())
-	bridge := NewBridge(srv.Registry())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -334,7 +333,6 @@ func TestScrapeDuringSoak(t *testing.T) {
 		defer close(done)
 		if _, err := harness.Soak(harness.SoakConfig{
 			Workers: 4, Iters: 4, Seed: 5,
-			Probes: bridge,
 			Submit: func(m *telemetry.Manifest) error { srv.Ingest(m); return nil },
 		}); err != nil {
 			t.Error(err)
@@ -360,6 +358,55 @@ func TestScrapeDuringSoak(t *testing.T) {
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
+		}
+	}
+}
+
+// TestScrapesAgree is the one-source-of-truth check: one deterministic
+// soak's manifests, folded into a bare registry (what spaabench soak
+// -print-metrics shows) and ingested by a server (what /metrics shows
+// after soak -addr), must scrape every cost family identically — and
+// the per-step and per-round families must be populated, not zero.
+func TestScrapesAgree(t *testing.T) {
+	local := NewRegistry()
+	bridge := NewBridge(local)
+	srv := NewServer(NewRegistry())
+	if _, err := harness.Soak(harness.SoakConfig{
+		Workers: 1, Iters: 8, Seed: 1, Deterministic: true,
+		Submit: func(m *telemetry.Manifest) error {
+			bridge.Fold(m)
+			srv.Ingest(m)
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	costLines := func(reg *Registry) []string {
+		var w strings.Builder
+		if err := reg.WritePrometheus(&w); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(w.String(), "\n") {
+			name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+			for _, p := range []string{"spaa_snn_", "spaa_congest_", "spaa_distance_", "spaa_fleet_", "spaa_energy_", "spaa_perf_"} {
+				if strings.HasPrefix(name, p) {
+					out = append(out, line)
+					break
+				}
+			}
+		}
+		return out
+	}
+	want, got := costLines(local), costLines(srv.Registry())
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("server scrape disagrees with the local fold:\n--- local\n%s\n--- server\n%s",
+			strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+	body := strings.Join(got, "\n") + "\n"
+	for _, series := range []string{MetricCongestRnds, MetricActive, MetricStepSpikes + "_count"} {
+		if v := scrapeValue(t, body, series); v == 0 {
+			t.Errorf("%s = 0 after a soak with engine and CONGEST runs", series)
 		}
 	}
 }

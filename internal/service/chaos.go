@@ -113,9 +113,9 @@ type ChaosReport struct {
 	WrongAnswers      int `json:"wrong_answers"`
 	LabeledMismatches int `json:"labeled_mismatches"`
 	// Latency percentiles over executed queries, in clock units.
-	P50 int64 `json:"p50"`
-	P90 int64 `json:"p90"`
-	P99 int64 `json:"p99"`
+	P50           int64 `json:"p50"`
+	P90           int64 `json:"p90"`
+	P99           int64 `json:"p99"`
 	MaxQueueDepth int   `json:"max_queue_depth"`
 	// Horizon is the virtual end time of a deterministic campaign.
 	Horizon int64 `json:"horizon"`

@@ -258,13 +258,56 @@ func TestTimedOutRunKeepsTime(t *testing.T) {
 	}
 }
 
+// TestInduceAtProcessedStepPanics: an input at Now() is rejected once
+// the step at Now() has run, and accepted while it has not. Before the
+// check, the second input below reopened step 0, so a fired twice at
+// time 0 and b twice at time 1.
+func TestInduceAtProcessedStepPanics(t *testing.T) {
+	net := NewNetwork(Config{Record: true})
+	a := net.AddNeuron(Gate(1))
+	b := net.AddNeuron(Gate(1))
+	net.Connect(a, b, 1, 1)
+	net.InduceSpike(a, 0)
+	net.Run(0)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "already processed") {
+				t.Fatalf("InduceSpike(a, 0) after step 0 ran: recovered %v, want the processed-step panic", r)
+			}
+		}()
+		net.InduceSpike(a, 0)
+	}()
+	if res := net.Run(5); !res.Quiescent || res.Now != 1 || res.Stats.Steps != 2 {
+		t.Fatalf("run: %+v, want quiescent at 1 after 2 steps", res)
+	}
+	if got := net.Spikes(a); !slices.Equal(got, []int64{0}) {
+		t.Fatalf("a's train %v, want [0]", got)
+	}
+
+	// A timed-out run leaves Now() at a step it has not processed, so an
+	// input there is still on time.
+	net.Reset()
+	net.InduceSpike(a, 4)
+	if res := net.Run(2); !res.TimedOut || net.Now() != 2 {
+		t.Fatalf("run to 2: %+v, want a timeout at 2", res)
+	}
+	net.InduceSpike(b, 2)
+	if res := net.Run(10); !res.Quiescent || res.Now != 5 {
+		t.Fatalf("run after inducing at Now: %+v, want quiescent at 5", res)
+	}
+	if got := net.Spikes(b); !slices.Equal(got, []int64{2, 5}) {
+		t.Fatalf("b's train %v, want [2 5]", got)
+	}
+}
+
 // FuzzRunSlicesVsOneShot is the oracle for the queue across Run calls.
 // Two copies of a fuzzNetwork, with extra synapses whose delays widen the
 // ring up to ringCap or reach past it into the far map, see the same
 // inputs. One runs once to a fixed horizon. The other runs in random
 // Run(maxTime) slices, some of them timing out, and receives some of its
-// induced spikes between slices, just after Now() or ringCap and more
-// ahead of it; the one-shot copy gets those same calls up front. Spike
+// induced spikes between slices, at Now() when that step has not run yet,
+// just after Now() or ringCap and more ahead of it; the one-shot copy gets
+// those same calls up front. Spike
 // trains, first spikes and causes, the final time, outcome and counters
 // must be equal. MaxQueueDepth is exempt: the one-shot copy holds the
 // later inputs from the start.
@@ -317,9 +360,12 @@ func FuzzRunSlicesVsOneShot(f *testing.F) {
 			if cut <= 0 {
 				break
 			}
-			// Inputs strictly after Now: a spike induced at Now itself
-			// would open a second step at a time already processed.
+			// An input at Now itself is on time only while that step has
+			// not run (a timed-out slice); otherwise inputs go after Now.
 			now := sliced.Now()
+			if now > sliced.lastStep && r.Intn(2) == 0 {
+				induce(sliced, now)
+			}
 			for s := r.Intn(3); s > 0; s-- {
 				ahead := int64(1 + r.Intn(64))
 				if r.Intn(2) == 0 {

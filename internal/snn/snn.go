@@ -500,16 +500,19 @@ func (n *Network) compact() {
 // fanout returns neuron i's outgoing synapses; the layout must be compact.
 func (n *Network) fanout(i int32) []synapse { return n.syn[n.off[i]:n.off[i+1]] }
 
-// InduceSpike forces neuron i to fire at time t >= current time. This is
-// the input mechanism of Definition 3 (computation is initiated by
-// inducing spikes in input neurons) and also encodes multi-bit spike
-// messages as trains.
+// InduceSpike forces neuron i to fire at time t >= current time, at a
+// step Run has not processed yet. This is the input mechanism of
+// Definition 3 (computation is initiated by inducing spikes in input
+// neurons) and also encodes multi-bit spike messages as trains.
 func (n *Network) InduceSpike(i int, t int64) {
 	if i < 0 || i >= len(n.cells) {
 		panic(fmt.Sprintf("snn: induce on neuron %d of %d", i, len(n.cells)))
 	}
 	if t < n.now {
 		panic(fmt.Sprintf("snn: induce at past time %d (now %d)", t, n.now))
+	}
+	if t <= n.lastStep {
+		panic(fmt.Sprintf("snn: induce at time %d, a step already processed", t))
 	}
 	b := n.bucketAt(t)
 	b.forced = append(b.forced, int32(i))

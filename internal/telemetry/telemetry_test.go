@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/congest"
 	"repro/internal/core"
@@ -105,6 +106,42 @@ func TestReadManifestRejectsWrongSchema(t *testing.T) {
 	}
 	if _, err := ReadManifest(bytes.NewBufferString(`{not json`)); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestManifestFinalizeDeterministic checks the -deterministic property:
+// two identically-built manifests finalized at different wall times
+// encode byte-identically, while the default mode stamps real clocks.
+func TestManifestFinalizeDeterministic(t *testing.T) {
+	build := func(start time.Time, wall time.Duration, det bool) []byte {
+		m := NewManifest("spaabench", "sssp")
+		m.SetConfig("seed", 7)
+		m.Stats = &RunStats{Spikes: 10, Deliveries: 20, Steps: 5}
+		m.Finalize(start, wall, ManifestOptions{Deterministic: det})
+		var b bytes.Buffer
+		if err := m.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	t0 := time.Unix(1700000000, 0)
+	t1 := t0.Add(8 * time.Hour)
+
+	da := build(t0, 12*time.Millisecond, true)
+	db := build(t1, 90*time.Millisecond, true)
+	if !bytes.Equal(da, db) {
+		t.Errorf("deterministic manifests differ:\n%s\nvs\n%s", da, db)
+	}
+	if bytes.Contains(da, []byte("created_unix_ms")) || bytes.Contains(da, []byte("wall_ms")) {
+		t.Errorf("deterministic manifest still carries wall-clock fields:\n%s", da)
+	}
+
+	wa := build(t0, 1500*time.Microsecond, false)
+	if !bytes.Contains(wa, []byte(`"created_unix_ms": 1700000000000`)) {
+		t.Errorf("default mode lost the creation stamp:\n%s", wa)
+	}
+	if !bytes.Contains(wa, []byte(`"wall_ms": 1.5`)) {
+		t.Errorf("default mode lost the wall duration:\n%s", wa)
 	}
 }
 
