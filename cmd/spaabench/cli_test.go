@@ -75,6 +75,18 @@ func TestBadGraphSizeErrors(t *testing.T) {
 		{"trace", "-queue", "0"},
 		{"soak", "-workers", "0", "-iters", "0"},
 		{"soak", "-iters", "0"},
+		// Zero sizes, hop bounds, widths and counts the solvers and
+		// generators would panic on.
+		{"table1", "-sizes", "0"},
+		{"table1", "-k", "0"},
+		{"table1", "-c", "0"},
+		{"table1", "-u", "0"},
+		{"table2", "-d", "0"},
+		{"table2", "-lambda", "0"},
+		{"flow", "-layers", "0"},
+		{"flow", "-width", "0"},
+		{"flow", "-u", "0"},
+		{"sssp", "-algo", "khop", "-k", "0"},
 	} {
 		name := strings.ReplaceAll(strings.Join(argv, " "), out, filepath.Base(out))
 		t.Run(name, func(t *testing.T) {
@@ -98,8 +110,7 @@ func TestOutputDirsCreated(t *testing.T) {
 		argv []string
 		file string
 	}{
-		{[]string{"perf", "-tier", "smoke", "-deterministic", "-out"}, "BENCH_perf_sssp_random_2k.json"},
-		{[]string{"energy", "-cases", "sssp_random_256", "-deterministic", "-out"}, "BENCH_energy_sssp_random_256.json"},
+		{[]string{"bench", "-cases", "sssp_random_256", "-deterministic", "-out"}, "BENCH_sssp_random_256.json"},
 	} {
 		dir := filepath.Join(root, c.argv[0]+c.argv[len(c.argv)-1], "a", "b")
 		argv := append(append([]string{}, c.argv...), dir)

@@ -200,22 +200,15 @@ func readManifestFile(path string) (*telemetry.Manifest, error) {
 // rerunBaseline re-executes the workload a baseline manifest describes
 // through the shared runner for its command and returns the fresh
 // manifest. Registry baselines name their case in the command
-// ("perf:<case>", "energy:<case>") and re-run through the harness
-// registry; the rest re-run through the CLI's own runners.
+// ("bench:<case>") and re-run through the harness registry; the rest
+// re-run through the CLI's own runners.
 func rerunBaseline(base *telemetry.Manifest) (*telemetry.Manifest, error) {
-	switch kind, name, _ := strings.Cut(base.Command, ":"); kind {
-	case "perf":
-		c, ok := harness.PerfCaseByName(name)
+	if name, ok := strings.CutPrefix(base.Command, "bench:"); ok {
+		c, ok := harness.CaseByName(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown perf case %q", name)
+			return nil, fmt.Errorf("unknown bench case %q", name)
 		}
-		return harness.RunPerfCase(c, harness.PerfOptions{Deterministic: true})
-	case "energy":
-		c, ok := harness.EnergyCaseByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown energy case %q", name)
-		}
-		return harness.RunEnergyCase(c, harness.EnergyOptions{Deterministic: true})
+		return harness.RunCase(c, true)
 	}
 	// deterministic: regress compares counters, not wall clocks; a
 	// re-run manifest must be byte-stable modulo the measured series.
@@ -254,7 +247,7 @@ func rerunBaseline(base *telemetry.Manifest) (*telemetry.Manifest, error) {
 			SkipMovement: cfgBool(base, "skip_movement"),
 		})
 	default:
-		return nil, fmt.Errorf("regress cannot re-run command %q (supported: sssp, congest, table1, perf:<case>, energy:<case>)", base.Command)
+		return nil, fmt.Errorf("regress cannot re-run command %q (supported: sssp, congest, table1, bench:<case>)", base.Command)
 	}
 	return o.manifest(), nil
 }

@@ -23,8 +23,7 @@
 //	spaabench regress [-tol 0.02] BENCH_*.json    # diff fresh runs against committed baselines
 //	spaabench serve [-addr 127.0.0.1:9090]        # live metrics daemon: /metrics, dashboard, SSE
 //	spaabench soak [-workers 8] [-iters 16] [-addr URL]  # concurrent load driver
-//	spaabench perf [-tier small] [-gate]          # benchmark tier vs BENCH_perf_*.json baselines
-//	spaabench energy [-gate]                      # energy sweep vs BENCH_energy_*.json baselines
+//	spaabench bench [-tier small] [-out DIR]      # benchmark cases: perf and energy tables, BENCH_<case>.json
 //	spaabench trace [-gate]                       # traced chaos replay: ASCII waterfalls + determinism/coverage gate
 //
 // The sssp, table1, flow, congest, fleet, and timeline subcommands also
@@ -37,13 +36,12 @@
 // committed BENCH_*.json manifests. `serve` exposes a Prometheus-style
 // /metrics endpoint plus a live dashboard; `soak` drives seeded
 // concurrent load through the instrumented stack and can stream its run
-// manifests to a serve daemon; `perf` runs the named benchmark tier and
-// gates counter-derived throughput metrics (exactly) and wall time
-// (within a band) against the committed BENCH_perf_*.json baselines;
-// `energy` prices per-spike/per-delivery/per-idle-step energy across
-// every Table 3 platform from the run's snn.Stats, alongside a classic
-// comparator on the same run, gated against the committed
-// BENCH_energy_*.json baselines.
+// manifests to a serve daemon; `bench` runs the registered benchmark
+// cases and prints their perf trend (steps, deliveries, wall time) and
+// their energy advantage across every Table 3 platform, priced from
+// each run's snn.Stats against a classic comparator on the same
+// instance; with -out it writes the BENCH_<case>.json baselines that
+// `regress` gates.
 // See docs/OBSERVABILITY.md.
 package main
 
@@ -129,10 +127,8 @@ func realMain(argv []string) int {
 		err = cmdServe(args)
 	case "soak":
 		err = cmdSoak(args)
-	case "perf":
-		err = cmdPerf(args)
-	case "energy":
-		err = cmdEnergy(args)
+	case "bench":
+		err = cmdBench(args)
 	case "chaos":
 		err = cmdChaos(args)
 	case "trace":
@@ -150,15 +146,14 @@ func realMain(argv []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: spaabench {table1|table2|table3|figures|experiments|sssp|gen|raster|timeline|flow|congest|dot|crossover|fleet|faults|why|replay|regress|verify|validate|serve|soak|perf|energy|chaos|trace} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: spaabench {table1|table2|table3|figures|experiments|sssp|gen|raster|timeline|flow|congest|dot|crossover|fleet|faults|why|replay|regress|verify|validate|serve|soak|bench|chaos|trace} [flags]")
 	fmt.Fprintln(os.Stderr, "robustness: faults [-rates 0,0.01,...] [-trials 20] [-k 3] [-retries 3] [-strict] [-metrics out.json]")
 	fmt.Fprintln(os.Stderr, "chaos: chaos [-queries 160] [-seed 1] [-deterministic] [-strict] [-drop 0.02] [-budget 0] [-workers 2] [-queue 4] [-quota-tokens 16] [-out report.json] [-trace-out trace.json]")
 	fmt.Fprintln(os.Stderr, "tracing: trace [-queries 160] [-seed 1] [-budget 256] [-gate] [-max-traces 4] [-out manifest.json] [-chrome trace.json] [-drop-degraded]")
 	fmt.Fprintln(os.Stderr, "observability (sssp, table1, flow, congest, fleet, timeline): -metrics out.json [-deterministic] -trace out.json -cpuprofile out.pprof -memprofile out.pprof")
 	fmt.Fprintln(os.Stderr, "forensics: why -dst N [-save log.jsonl] | replay log.jsonl | regress [-tol 0.02] BENCH_*.json")
 	fmt.Fprintln(os.Stderr, "live: serve [-addr 127.0.0.1:9090] [-preload 'BENCH_*.json'] | soak [-workers 8] [-iters 16] [-mix sssp,congest,fleet,table1] [-addr http://127.0.0.1:9090]")
-	fmt.Fprintln(os.Stderr, "perf: perf [-tier smoke|small|large|all] [-cases a,b] [-deterministic] [-out DIR]")
-	fmt.Fprintln(os.Stderr, "energy: energy [-cases a,b] [-deterministic] [-out DIR]")
+	fmt.Fprintln(os.Stderr, "bench: bench [-tier smoke|small|large|all] [-cases a,b] [-deterministic] [-out DIR]")
 }
 
 func parseInts(s string) ([]int, error) {
@@ -239,6 +234,14 @@ func cmdTable1(args []string) error {
 	if err != nil {
 		return err
 	}
+	for _, n := range ns {
+		if err := checkGnm(n, *density*n, *u); err != nil {
+			return fmt.Errorf("table1: size %d at density %d: %w", n, *density, err)
+		}
+	}
+	if err := checkCounts("table1", countFlag{"k", int64(*k)}, countFlag{"c", int64(*c)}); err != nil {
+		return err
+	}
 	if err := o.begin("table1"); err != nil {
 		return err
 	}
@@ -263,6 +266,16 @@ func cmdTable2(args []string) error {
 	}
 	ll, err := parseInts(*ls)
 	if err != nil {
+		return err
+	}
+	var counts []countFlag
+	for _, d := range dd {
+		counts = append(counts, countFlag{"d", int64(d)})
+	}
+	for _, l := range ll {
+		counts = append(counts, countFlag{"lambda", int64(l)})
+	}
+	if err := checkCounts("table2", counts...); err != nil {
 		return err
 	}
 	fmt.Print(harness.RenderTable2(harness.RunTable2(dd, ll)))
@@ -300,6 +313,11 @@ func cmdSSSP(args []string) error {
 	}
 	if err := checkGnm(*n, *m, *u); err != nil {
 		return err
+	}
+	if *algo == "khop" {
+		if err := checkCounts("sssp", countFlag{"k", int64(*k)}); err != nil {
+			return err
+		}
 	}
 	if err := o.begin("sssp"); err != nil {
 		return err
@@ -487,6 +505,9 @@ func cmdFlow(args []string) error {
 	seed := fs.Int64("seed", 1, "seed")
 	o := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkCounts("flow", countFlag{"layers", int64(*layers)}, countFlag{"width", int64(*width)}, countFlag{"u", *u}); err != nil {
 		return err
 	}
 	if err := o.begin("flow"); err != nil {

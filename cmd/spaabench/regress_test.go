@@ -75,25 +75,26 @@ func TestRegress(t *testing.T) {
 		want string // substring of the output
 	}{
 		{"BENCH_snn_sssp", committed("BENCH_snn_sssp.json"), 0, "ok   "},
-		{"BENCH_perf_sssp_random_2k", committed("BENCH_perf_sssp_random_2k.json"), 0, "ok   "},
-		{"BENCH_energy_sssp_random_256", committed("BENCH_energy_sssp_random_256.json"), 0, "ok   "},
-		{"BENCH_energy_khop_compiled_24", committed("BENCH_energy_khop_compiled_24.json"), 0, "ok   "},
-		{"BENCH_energy_table1_48", committed("BENCH_energy_table1_48.json"), 0, "ok   "},
+		{"BENCH_sssp_random_256", committed("BENCH_sssp_random_256.json"), 0, "ok   "},
+		{"BENCH_khop_compiled_24", committed("BENCH_khop_compiled_24.json"), 0, "ok   "},
+		{"BENCH_table1_48", committed("BENCH_table1_48.json"), 0, "ok   "},
 		{"stats.spikes x2", perturbed("BENCH_snn_sssp.json", func(m *telemetry.Manifest) {
 			m.Stats.Spikes *= 2
 		}), 1, "stats.spikes:"},
-		{"perf.deliveries_per_step_milli +1", perturbed("BENCH_perf_sssp_random_2k.json", func(m *telemetry.Manifest) {
+		{"perf.deliveries_per_step_milli +1", perturbed("BENCH_sssp_random_256.json", func(m *telemetry.Manifest) {
 			m.Perf.DeliveriesPerStepMilli++
 		}), 1, "perf.deliveries_per_step_milli:"},
-		{"Loihi delivery_millipj x1.1", perturbed("BENCH_energy_sssp_random_256.json", func(m *telemetry.Manifest) {
+		{"Loihi delivery_millipj x1.1", perturbed("BENCH_sssp_random_256.json", func(m *telemetry.Manifest) {
 			row := m.Energy.PlatformRow("Loihi")
 			row.DeliveryMilliPJ = row.DeliveryMilliPJ * 11 / 10
 		}), 1, "energy.platforms.Loihi.delivery_millipj:"},
 		{"missing baseline file", func(t *testing.T) string {
-			return filepath.Join(t.TempDir(), "BENCH_perf_sssp_random_2k.json")
+			return filepath.Join(t.TempDir(), "BENCH_sssp_random_256.json")
 		}, 1, "no such file"},
-		{"perf:ghost", bare("perf:ghost"), 1, `unknown perf case "ghost"`},
-		{"energy:ghost", bare("energy:ghost"), 1, `unknown energy case "ghost"`},
+		{"bench:ghost", bare("bench:ghost"), 1, `unknown bench case "ghost"`},
+		// A command of no registry is refused, not mistaken for a case.
+		{"perf:ghost", bare("perf:ghost"), 1, `cannot re-run command "perf:ghost"`},
+		{"energy:ghost", bare("energy:ghost"), 1, `cannot re-run command "energy:ghost"`},
 		{"unknown command", bare("raster"), 1, `cannot re-run command "raster"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -84,7 +84,10 @@ func cmdServe(args []string) error {
 				fmt.Fprintf(os.Stderr, "spaabench serve: skipping %s: %v\n", name, err)
 				continue
 			}
-			srv.Ingest(man)
+			if _, err := srv.Ingest(man); err != nil {
+				fmt.Fprintf(os.Stderr, "spaabench serve: skipping %s: %v\n", name, err)
+				continue
+			}
 			fmt.Fprintf(os.Stderr, "preloaded %s (%s)\n", name, man.Command)
 		}
 	}

@@ -53,7 +53,9 @@ func cmdSoak(args []string) error {
 		Mix:           strings.Split(*mix, ","),
 		Deterministic: *deterministic,
 		Submit: func(man *telemetry.Manifest) error {
-			bridge.Fold(man)
+			if err := bridge.Fold(man); err != nil {
+				return err
+			}
 			if client == nil {
 				return nil
 			}

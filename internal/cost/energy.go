@@ -3,7 +3,7 @@ package cost
 // Model-level energy prediction: the Table 1 complexities priced at the
 // Table 3 tariffs. internal/energy meters what a run actually spent;
 // this file predicts the same ratio from the closed forms, so measured
-// advantage curves (spaabench energy) can be checked against the
+// advantage curves (spaabench bench) can be checked against the
 // model's growth shape.
 
 import "repro/internal/platform"

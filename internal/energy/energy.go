@@ -14,10 +14,10 @@
 // All accounting is integral, in millipicojoules (mpJ = pJ × 1000), so
 // energy reports are byte-deterministic functions of the seeded
 // workload and the spaa-energy/v1 manifest section can be compared
-// exactly by the `spaabench energy` gate. The package is a leaf over
+// exactly by the `spaabench regress` gate. The package is a leaf over
 // internal/platform: stdlib-only otherwise, imported by telemetry
-// (manifest section), metrics (Prometheus families), harness (energy
-// sweep + soak), and faults (energy-under-faults columns), never the
+// (manifest section), metrics (Prometheus families), harness (bench
+// cases + soak), and faults (energy-under-faults columns), never the
 // other way around.
 package energy
 

@@ -72,7 +72,7 @@ type Table1Report struct {
 	Config Table1Config
 	Rows   []Table1Row
 	// SSSPStats holds the engine statistics of the spiking SSSP run at
-	// each size, in Config.Sizes order (the energy sweep prices them).
+	// each size, in Config.Sizes order (the table1 bench case prices them).
 	SSSPStats []snn.Stats
 }
 

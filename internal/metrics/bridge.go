@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+
 	"repro/internal/distance"
 	"repro/internal/energy"
 	"repro/internal/perf"
@@ -145,10 +149,15 @@ func NewBridge(reg *Registry) *Bridge {
 // spikes-per-step and CONGEST-round families derived from the
 // active_per_step, spikes_per_step and messages_per_round series, and
 // the perf and energy sections. Unknown counters and series are
-// ignored. Called once per run, off the engine's hot path.
-func (b *Bridge) Fold(m *telemetry.Manifest) {
+// ignored. A manifest carrying a negative value Fold would add is
+// refused whole, before anything folds, with an error (see
+// checkNonNegative). Called once per run, off the engine's hot path.
+func (b *Bridge) Fold(m *telemetry.Manifest) error {
 	if b == nil || m == nil {
-		return
+		return nil
+	}
+	if err := b.checkNonNegative(m); err != nil {
+		return err
 	}
 	if s := m.Stats; s != nil {
 		b.steps.Add(s.Steps)
@@ -178,6 +187,30 @@ func (b *Bridge) Fold(m *telemetry.Manifest) {
 	}
 	b.foldPerf(m.Perf)
 	b.foldEnergy(m.Energy)
+	return nil
+}
+
+// checkNonNegative reports the first negative value among those Fold
+// adds: the stats totals, the counters with a live family, and the
+// active_per_step samples. A registry counter only grows (Counter.Add
+// panics on a negative delta) and a negative silent-step count would
+// lower its gauge, so such a manifest — a pushed one, say — must not
+// fold at all.
+func (b *Bridge) checkNonNegative(m *telemetry.Manifest) error {
+	if s := m.Stats; s != nil && min(s.Spikes, s.Deliveries, s.Steps, s.MaxQueueDepth, s.SilentStepsSkipped) < 0 {
+		return fmt.Errorf("metrics: manifest stats carry a negative value: %+v", *s)
+	}
+	for _, k := range slices.Sorted(maps.Keys(m.Counters)) {
+		if v := m.Counters[k]; v < 0 && b.counter(k) != nil {
+			return fmt.Errorf("metrics: manifest counter %s is negative (%d)", k, v)
+		}
+	}
+	for _, s := range m.Series {
+		if s.Name == "active_per_step" && len(s.Values) > 0 && slices.Min(s.Values) < 0 {
+			return fmt.Errorf("metrics: manifest series active_per_step has a negative value")
+		}
+	}
+	return nil
 }
 
 // counter maps a manifest counter key (telemetry.Recorder's spelling)

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -114,5 +115,48 @@ func TestBridgeMatchesEngineStats(t *testing.T) {
 	}
 	if got, want := reg.Counter(MetricActive, "").Value(), rec.StepSeries("active").Sum(); got != want || got == 0 {
 		t.Errorf("folded active neurons = %d, recorder says %d", got, want)
+	}
+}
+
+// TestBridgeFoldRejectsNegative: Fold refuses a manifest carrying a
+// negative value it would add — a stats total, a counter with a live
+// family, an active_per_step sample — and leaves the registry as it
+// was; a negative counter with no live family is not its business.
+func TestBridgeFoldRejectsNegative(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*telemetry.Manifest)
+		want string // error substring; "" means accepted
+	}{
+		{"silent_steps_skipped", func(m *telemetry.Manifest) { m.Stats.SilentStepsSkipped = -1 }, "SilentStepsSkipped:-1"},
+		{"congest_bits", func(m *telemetry.Manifest) { m.Counters["congest_bits"] = -8 }, "counter congest_bits"},
+		{"active_per_step", func(m *telemetry.Manifest) {
+			m.Series = []telemetry.Series{{Name: "active_per_step", Times: []int64{1, 2}, Values: []int64{3, -1}}}
+		}, "active_per_step"},
+		{"unfolded counter", func(m *telemetry.Manifest) { m.Counters["neurons"] = -7 }, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := NewRegistry()
+			m := telemetry.NewManifest("spaabench", "test")
+			m.Stats = &telemetry.RunStats{Spikes: 4, Deliveries: 9, Steps: 2}
+			m.Counters = map[string]int64{"congest_messages": 5}
+			c.edit(m)
+			err := NewBridge(reg).Fold(m)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("Fold refused a foldable manifest: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Fold error = %v, want one naming %q", err, c.want)
+			}
+			if got := reg.Counter(MetricSpikes, "").Value(); got != 0 {
+				t.Errorf("spikes folded to %d before the refusal", got)
+			}
+			if got := reg.Counter(MetricCongestMsgs, "").Value(); got != 0 {
+				t.Errorf("congest messages folded to %d before the refusal", got)
+			}
+		})
 	}
 }

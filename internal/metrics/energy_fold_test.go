@@ -82,7 +82,10 @@ func TestServerIngestEnergySection(t *testing.T) {
 	srv := NewServer(NewRegistry())
 	m := testManifest(10, 30, 4)
 	m.Energy = energyReport()
-	sum := srv.Ingest(m)
+	sum, err := srv.Ingest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.ClassicMilliPJ != m.Energy.ClassicMilliPJ {
 		t.Errorf("summary classic = %d, want %d", sum.ClassicMilliPJ, m.Energy.ClassicMilliPJ)
 	}

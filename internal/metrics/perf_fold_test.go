@@ -129,7 +129,10 @@ func TestServerIngestPerfSection(t *testing.T) {
 	srv := NewServer(NewRegistry())
 	m := testManifest(10, 30, 4)
 	m.Perf = perfReport()
-	sum := srv.Ingest(m)
+	sum, err := srv.Ingest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.StepsPerSec != 8000 || sum.DeliveriesPerSec != 200000 {
 		t.Errorf("summary rates = %v/%v, want 8000/200000", sum.StepsPerSec, sum.DeliveriesPerSec)
 	}

@@ -160,9 +160,11 @@ func NewServer(reg *Registry) *Server {
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Ingest folds one run manifest into the registry and run index and
-// returns the summary broadcast to /events subscribers. Safe for
-// concurrent use.
-func (s *Server) Ingest(m *telemetry.Manifest) RunSummary {
+// returns the summary broadcast to /events subscribers. A manifest with
+// a negative value that would fold into a counter (refused by
+// Bridge.Fold, or a negative trace count) changes nothing and returns
+// an error. Safe for concurrent use.
+func (s *Server) Ingest(m *telemetry.Manifest) (RunSummary, error) {
 	sum := RunSummary{Tool: m.Tool, Command: m.Command, WallMS: m.WallMS}
 	if m.Perf != nil {
 		sum.StepsPerSec = m.Perf.StepsPerSec
@@ -180,7 +182,12 @@ func (s *Server) Ingest(m *telemetry.Manifest) RunSummary {
 		sum.MaxQueueDepth = m.Stats.MaxQueueDepth
 		sum.SilentStepsSkipped = m.Stats.SilentStepsSkipped
 	}
-	s.bridge.Fold(m)
+	if err := checkTraceCounts(m.Trace); err != nil {
+		return RunSummary{}, err
+	}
+	if err := s.bridge.Fold(m); err != nil {
+		return RunSummary{}, err
+	}
 	command := m.Command
 	if command == "" {
 		command = "unknown"
@@ -225,7 +232,7 @@ func (s *Server) Ingest(m *telemetry.Manifest) RunSummary {
 		}
 	}
 	s.mu.Unlock()
-	return sum
+	return sum, nil
 }
 
 // Handler returns the daemon's full route table:
@@ -333,7 +340,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		sum := s.Ingest(man)
+		sum, err := s.Ingest(man)
+		if err != nil {
+			s.badRequests.Inc()
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(sum)

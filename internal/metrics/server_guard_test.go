@@ -136,3 +136,54 @@ func TestEventsTeardownOnDisconnect(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestIngestRejectsNegativeCounts: a pushed manifest with a negative
+// cost value or trace count is refused with 400 before anything folds —
+// the scrape's spaa_* families stay as they were (only the ingest-error
+// count moves) and the run is not indexed.
+func TestIngestRejectsNegativeCounts(t *testing.T) {
+	srv := NewServer(NewRegistry())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The spaa_* lines of a scrape, minus the ingest-error count; the
+	// go_* runtime samples move on every scrape.
+	scrape := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var b strings.Builder
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if l := sc.Text(); strings.HasPrefix(l, "spaa_") && !strings.HasPrefix(l, "spaa_ingest_errors_total") {
+				b.WriteString(l + "\n")
+			}
+		}
+		return b.String()
+	}
+	before := scrape()
+	for i, body := range []string{
+		`{"schema":"spaa-run-manifest/v1","tool":"x","command":"sssp","stats":{"spikes":5,"deliveries":-3,"steps":2}}`,
+		`{"schema":"spaa-run-manifest/v1","tool":"x","command":"sssp","stats":{"spikes":5,"deliveries":3,"steps":2},"trace":{"schema":"spaa-trace/v1","started":-1}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("negative-count ingest %s = %d, want 400", body, resp.StatusCode)
+		}
+		if after := scrape(); after != before {
+			t.Errorf("scrape moved on refused manifest %s:\nbefore:\n%s\nafter:\n%s", body, before, after)
+		}
+		if got := srv.runsIngested.Value(); got != 0 {
+			t.Errorf("spaa_runs_ingested_total = %d, want 0", got)
+		}
+		if got := srv.badRequests.Value(); got != int64(i+1) {
+			t.Errorf("spaa_ingest_errors_total = %d, want %d", got, i+1)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package metrics
 
-import "repro/internal/trace"
+import (
+	"fmt"
+
+	"repro/internal/trace"
+)
 
 // Canonical metric names of the query-tracing families. The same
 // families are written per query by the live service (finishTrace) and
@@ -80,4 +84,15 @@ func FoldTrace(reg *Registry, r *trace.Report) {
 			TraceStageHist(reg, tr.Spans[i].Stage).Observe(tr.Spans[i].Dur)
 		}
 	}
+}
+
+// checkTraceCounts reports a negative sampler count in a pushed
+// spaa-trace/v1 section: FoldTrace adds each to a counter, which only
+// grows.
+func checkTraceCounts(r *trace.Report) error {
+	if r != nil && min(r.Started, r.Sampled, r.Dropped, r.Spans) < 0 {
+		return fmt.Errorf("metrics: manifest trace counts are negative (started %d, sampled %d, dropped %d, spans %d)",
+			r.Started, r.Sampled, r.Dropped, r.Spans)
+	}
+	return nil
 }

@@ -7,7 +7,7 @@
 // runtime.MemStats snapshots bracketing each run.
 //
 // The package is a leaf: stdlib-only, imported by telemetry (manifest
-// section), metrics (Prometheus families), and harness (perf tier +
+// section), metrics (Prometheus families), and harness (bench cases +
 // soak), never the other way around. It owns no step probe: the run's
 // totals are the engine's own snn.Stats, handed to Tracker.SetTotals
 // after the run.

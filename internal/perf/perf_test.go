@@ -57,7 +57,7 @@ func TestTrackerMemDeltas(t *testing.T) {
 
 // TestDeterministicReportByteStable encodes two deterministic reports of
 // the same logical run and demands byte identity — the property the
-// committed BENCH_perf_*.json baselines rely on.
+// committed BENCH_<case>.json baselines rely on.
 func TestDeterministicReportByteStable(t *testing.T) {
 	build := func() []byte {
 		tr := NewTracker()

@@ -15,7 +15,7 @@ type SpanSink interface {
 // Tracker brackets one run: it snapshots the heap at construction,
 // accumulates named phase spans (build / run / report), and renders a
 // Report when stopped. A Tracker is single-goroutine (one per run, the
-// way harness.Soak and the perf tier use it).
+// way harness.Soak and harness.RunCase use it).
 type Tracker struct {
 	start    time.Time
 	startMem MemSnapshot
