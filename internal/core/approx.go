@@ -124,12 +124,12 @@ func truncatedSpikingSSSP(g *graph.Graph, src int, maxTime int64, res *ApproxRes
 	// Reuse SSSP's construction but with a deadline; build inline to
 	// control the horizon.
 	net := newRelayNetwork(g)
-	net.net.InduceSpike(net.relays[src], 0)
+	net.net.InduceSpike(src, 0)
 	net.net.Run(maxTime)
 	dist := make([]int64, n)
 	var last int64
 	for v := 0; v < n; v++ {
-		dist[v] = net.net.FirstSpike(net.relays[v])
+		dist[v] = net.net.FirstSpike(v)
 		if dist[v] > last {
 			last = dist[v]
 		}

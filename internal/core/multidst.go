@@ -33,10 +33,10 @@ func SSSPMulti(g *graph.Graph, src int, dsts []int) *SSSPResult {
 
 	rn := newRelayNetwork(g)
 	for _, d := range dsts {
-		rn.net.SetTerminal(rn.relays[d])
+		rn.net.SetTerminal(d)
 	}
 	rn.net.RequireAllTerminals()
-	rn.net.InduceSpike(rn.relays[src], 0)
+	rn.net.InduceSpike(src, 0)
 	r := rn.net.Run(rn.horizon)
 
 	res := &SSSPResult{
@@ -48,14 +48,14 @@ func SSSPMulti(g *graph.Graph, src int, dsts []int) *SSSPResult {
 		Stats:    r.Stats,
 	}
 	for v := 0; v < n; v++ {
-		t := rn.net.FirstSpike(rn.relays[v])
+		t := rn.net.FirstSpike(v)
 		if t < 0 {
 			res.Dist[v] = graph.Inf
 			res.Pred[v] = -1
 			continue
 		}
 		res.Dist[v] = t
-		res.Pred[v] = rn.net.FirstCause(rn.relays[v])
+		res.Pred[v] = rn.net.FirstCause(v)
 	}
 	if r.Halted {
 		res.SpikeTime = r.TerminalTime

@@ -21,9 +21,8 @@ func refRelayNetwork(g *graph.Graph) *relayNetwork {
 	net := snn.NewNetwork(snn.Config{Rule: snn.FireGTE})
 	net.Grow(n, n+g.M())
 	net.SetLabeler(func(i int) string { return "v" + strconv.Itoa(i) })
-	relays := make([]int, n)
 	for v := 0; v < n; v++ {
-		relays[v] = net.AddNeuron(snn.Integrator(1))
+		net.AddNeuron(snn.Integrator(1))
 	}
 	for v := 0; v < n; v++ {
 		net.Connect(v, v, -float64(g.InDeg(v)+1), 1)
@@ -32,7 +31,7 @@ func refRelayNetwork(g *graph.Graph) *relayNetwork {
 			net.Connect(v, e.To, 1, e.Len)
 		}
 	}
-	return &relayNetwork{net: net, relays: relays, horizon: ssspHorizon(g)}
+	return &relayNetwork{net: net, horizon: ssspHorizon(g)}
 }
 
 // checkAgainstReference fails unless BuildSSSP(g) equals the reference

@@ -187,7 +187,7 @@ func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget 
 		panic(fmt.Sprintf("core: negative horizon slack %d", horizonSlack))
 	}
 
-	net, relays := sn.rn.net, sn.rn.relays
+	net := sn.rn.net
 	if sn.ran {
 		// Restore the freshly built state: Reset keeps the terminal,
 		// injector and probes, so drop the previous run's too.
@@ -200,9 +200,9 @@ func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget 
 	sn.ran = true
 	attachProbes(net, probe)
 	if dst >= 0 {
-		net.SetTerminal(relays[dst])
+		net.SetTerminal(dst)
 	}
-	net.InduceSpike(relays[src], 0)
+	net.InduceSpike(src, 0)
 	if inj != nil {
 		net.SetInjector(inj) // after topology + induced input: Prepare sees the final network
 	}
@@ -240,14 +240,14 @@ func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget 
 		TimedOut: r.TimedOut && !saturated,
 	}
 	for v := 0; v < n; v++ {
-		t := net.FirstSpike(relays[v])
+		t := net.FirstSpike(v)
 		if t < 0 {
 			res.Dist[v] = graph.Inf
 			res.Pred[v] = -1
 			continue
 		}
 		res.Dist[v] = t
-		res.Pred[v] = net.FirstCause(relays[v]) // relay ids == vertex ids
+		res.Pred[v] = net.FirstCause(v)
 		if t > res.SpikeTime {
 			res.SpikeTime = t
 		}
@@ -306,11 +306,11 @@ func relayHorizon(n int, maxLen int64) int64 {
 }
 
 // relayNetwork is the Section 3 construction: one fire-once relay neuron
-// per vertex, one delay-coded synapse per edge. horizon is relayHorizon
-// of the graph as built.
+// per vertex, one delay-coded synapse per edge. Relay ids equal vertex
+// ids, so callers address a vertex's relay by the vertex itself. horizon
+// is relayHorizon of the graph as built.
 type relayNetwork struct {
 	net     *snn.Network
-	relays  []int
 	horizon int64
 }
 
@@ -342,9 +342,8 @@ func newRelayNetwork(g *graph.Graph) *relayNetwork {
 	// vertex id; the lazy labeler costs nothing unless a provenance log
 	// asks for names.
 	net.SetLabeler(func(i int) string { return "v" + strconv.Itoa(i) })
-	relays := make([]int, n)
 	for v := 0; v < n; v++ {
-		relays[v] = net.AddNeuron(snn.Integrator(1))
+		net.AddNeuron(snn.Integrator(1))
 	}
 	// Each relay's row holds its self-loop, then its out-edges in
 	// edge-index order: the order of g.Out(v), whose index is a stable
@@ -366,5 +365,5 @@ func newRelayNetwork(g *graph.Graph) *relayNetwork {
 		maxLen = max(maxLen, e.Len)
 		net.Place(e.From, e.To, 1, e.Len)
 	}
-	return &relayNetwork{net: net, relays: relays, horizon: relayHorizon(n, maxLen)}
+	return &relayNetwork{net: net, horizon: relayHorizon(n, maxLen)}
 }

@@ -243,11 +243,16 @@ func RenderPerfTrend(mans []*telemetry.Manifest) string {
 // advantage table: one row per case with both sides' energy in
 // microjoules, the build/wavefront phase split of the spiking total
 // (reference tariff), and the per-platform advantage columns ("-" for
-// platforms without a published tariff).
+// platforms without a published tariff). The case column is at least 18
+// characters wide, and wider when a case name needs it.
 func RenderEnergyTable(mans []*telemetry.Manifest) string {
 	names := energy.PlatformNames()
+	width := 18
+	for _, m := range mans {
+		width = max(width, len(strings.TrimPrefix(m.Command, "bench:")))
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %14s %14s %17s", "case", "classic µJ", "spiking µJ", "build/wave µJ")
+	fmt.Fprintf(&b, "%-*s %14s %14s %17s", width, "case", "classic µJ", "spiking µJ", "build/wave µJ")
 	for _, n := range names {
 		fmt.Fprintf(&b, " %12s", n)
 	}
@@ -274,7 +279,7 @@ func RenderEnergyTable(mans []*telemetry.Manifest) string {
 				}
 			}
 		}
-		fmt.Fprintf(&b, "%-18s %14s %14s %17s", strings.TrimPrefix(m.Command, "bench:"), classicUJ, spikingUJ, phaseUJ)
+		fmt.Fprintf(&b, "%-*s %14s %14s %17s", width, strings.TrimPrefix(m.Command, "bench:"), classicUJ, spikingUJ, phaseUJ)
 		for _, a := range adv {
 			fmt.Fprintf(&b, " %12s", a)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/energy"
 	"repro/internal/telemetry"
@@ -192,7 +193,8 @@ func TestRunEnergyCasesDeterministic(t *testing.T) {
 
 // TestRenderEnergyTable renders every smoke-tier case: unpublished
 // platforms as "-", and no advantage — not even a CPU win below 1× — as
-// the "0.0x" division artifact.
+// the "0.0x" division artifact. A case name longer than the column's 18
+// characters widens it, so every row still lines up with the header.
 func TestRenderEnergyTable(t *testing.T) {
 	cases := CasesForTier("smoke")
 	var mans []*telemetry.Manifest
@@ -227,6 +229,14 @@ func TestRenderEnergyTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "x") {
 		t.Errorf("no advantage figures rendered:\n%s", out)
+	}
+
+	long := &telemetry.Manifest{Command: "bench:sssp_scalefree_100k"} // 19 characters
+	lines = strings.Split(strings.TrimSuffix(RenderEnergyTable(append(mans, long)), "\n"), "\n")
+	for _, l := range lines[1:] {
+		if got, want := utf8.RuneCountInString(l), utf8.RuneCountInString(lines[0]); got != want {
+			t.Errorf("row %q is %d characters, header %d:\n%s", l, got, want, strings.Join(lines, "\n"))
+		}
 	}
 }
 

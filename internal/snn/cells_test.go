@@ -18,6 +18,124 @@ func TestCellSize(t *testing.T) {
 	}
 }
 
+// TestSynapseAndBucketSize pins the other two per-event structures: a
+// fan-out row entry is 16 bytes (long delays live in the side table) and
+// a queue bucket is one slice header (induced spikes and flight-probe
+// delays live beside the pool).
+func TestSynapseAndBucketSize(t *testing.T) {
+	if got := unsafe.Sizeof(synapse{}); got != 16 {
+		t.Errorf("synapse is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(bucket{}); got != 24 {
+		t.Errorf("bucket is %d bytes, want 24", got)
+	}
+}
+
+// TestLongDelays: a delay of 2^31-1 or more is stored as a sentinel with
+// its true value in a side table. Whichever way the synapses enter the
+// layout (source-order Connect, staged Connect, SizeRows and Place, or a
+// re-compaction after Reset that moves their row), OutSynapses, the
+// netlist round trip and DenseRun see the true delays, and Run delivers
+// at them.
+func TestLongDelays(t *testing.T) {
+	delays := []int64{math.MaxInt32 - 1, math.MaxInt32, math.MaxInt32 + 1, 1<<62 + 3, 7}
+	var want []SynapseInfo
+	for i, d := range delays {
+		want = append(want, SynapseInfo{To: 2 + i, Weight: 1, Delay: d})
+	}
+	fresh := func() *Network {
+		net := NewNetwork(Config{Record: true})
+		for range 2 + len(delays) {
+			net.AddNeuron(Gate(1))
+		}
+		return net
+	}
+	connect := func(net *Network) {
+		for _, s := range want {
+			net.Connect(1, s.To, s.Weight, s.Delay)
+		}
+	}
+	builds := []struct {
+		name  string
+		build func() *Network
+	}{
+		{"source order", func() *Network {
+			net := fresh()
+			connect(net)
+			return net
+		}},
+		{"staged", func() *Network {
+			net := fresh()
+			net.Connect(len(delays)+1, 0, -1, 2) // later source first: row 1 is staged
+			connect(net)
+			return net
+		}},
+		{"sized rows", func() *Network {
+			net := fresh()
+			net.Grow(0, len(want))
+			net.SizeRows(func(i int) int {
+				if i == 1 {
+					return len(want)
+				}
+				return 0
+			})
+			for _, s := range want {
+				net.Place(1, s.To, s.Weight, s.Delay)
+			}
+			return net
+		}},
+		{"re-compacted after Reset", func() *Network {
+			net := fresh()
+			net.Connect(0, 2, -1, 3)
+			connect(net)
+			net.InduceSpike(1, 0)
+			net.Run(10)
+			net.Reset()
+			net.Connect(0, 1, -1, 1) // staged: row 1 moves up one slot
+			return net
+		}},
+	}
+	for _, b := range builds {
+		net := b.build()
+		if got := net.OutSynapses(1); !slices.Equal(got, want) {
+			t.Fatalf("%s: fan-out %v, want %v", b.name, got, want)
+		}
+		var text bytes.Buffer
+		if err := WriteNetlist(&text, net); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text.String(), " 4611686018427387907\n") {
+			t.Fatalf("%s: netlist lacks the 2^62+3 delay:\n%s", b.name, text.String())
+		}
+		back, err := ReadNetlist(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.OutSynapses(1); !slices.Equal(got, want) {
+			t.Fatalf("%s: round-tripped fan-out %v, want %v", b.name, got, want)
+		}
+
+		const horizon = 100
+		dense := b.build()
+		dense.InduceSpike(1, 0)
+		net.InduceSpike(1, 0)
+		if res := net.Run(horizon); !res.TimedOut {
+			t.Fatalf("%s: run to %d: %+v, want a timeout with the long deliveries pending", b.name, horizon, res)
+		}
+		if i := sameTrains(net, dense.DenseRun(horizon)); i >= 0 {
+			t.Fatalf("%s: neuron %d diverges from DenseRun", b.name, i)
+		}
+		if res := net.Run(math.MaxInt64); !res.Quiescent {
+			t.Fatalf("%s: run to the end: %+v, want quiescent", b.name, res)
+		}
+		for _, s := range want {
+			if got := net.FirstSpike(s.To); got != s.Delay {
+				t.Fatalf("%s: neuron %d first fired at %d, want %d", b.name, s.To, got, s.Delay)
+			}
+		}
+	}
+}
+
 // TestParamsInterned: Params returns every AddNeuron argument bit for bit
 // through the interned table, -0 kept apart from +0, and WriteNetlist
 // prints exactly the arguments. DenseRun and the netlist round trip read

@@ -34,20 +34,20 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 	times := n.pendingTimes()
 	forced := make(map[int64][]int32, len(times))
 	maxDelay := int64(1)
-	for _, s := range n.syn {
-		if s.delay > maxDelay {
-			maxDelay = s.delay
-		}
+	for k := range n.syn {
+		maxDelay = max(maxDelay, n.delayOf(int32(k)))
 	}
 	for _, t := range times {
-		b := &n.buckets[n.lookup(t)]
-		if len(b.deliveries) > 0 {
+		id := n.lookup(t)
+		if len(n.buckets[id].deliveries) > 0 {
 			panic("snn: DenseRun cannot resume pending deliveries")
 		}
-		forced[t] = append(forced[t], b.forced...)
+		forced[t] = append(forced[t], n.forcedOf(id)...)
 	}
 
-	window := maxDelay + 1
+	// A delivery past maxTime is dropped, so the window need not cover a
+	// longer delay.
+	window := min(maxDelay, maxTime) + 1
 	synIn := make([][]float64, window)
 	for i := range synIn {
 		synIn[i] = make([]float64, nn)
@@ -77,10 +77,9 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 			slot[i] = 0
 		}
 		for _, i := range fired {
-			for _, s := range n.fanout(int32(i)) {
-				at := t + s.delay
-				if at <= maxTime {
-					synIn[at%window][s.to] += s.weight
+			for k := n.off[i]; k < n.off[i+1]; k++ {
+				if d := n.delayOf(k); d <= maxTime-t {
+					synIn[(t+d)%window][n.syn[k].to] += n.syn[k].weight
 				}
 			}
 		}

@@ -82,20 +82,24 @@ func (n *Network) Label(i int) string {
 	return ""
 }
 
-// captureAntecedents groups this step's deliveries by target neuron into
-// the reusable scratch lists. Called only while a flight probe is
-// attached.
-func (n *Network) captureAntecedents(b *bucket) {
+// captureAntecedents groups this step's deliveries, those of bucket id,
+// by target neuron into the reusable scratch lists. Called only while a
+// flight probe is attached.
+func (n *Network) captureAntecedents(id int32, deliveries []delivery) {
 	if len(n.ants) < len(n.cells) {
 		n.ants = append(n.ants, make([][]Antecedent, len(n.cells)-len(n.ants))...)
 	}
 	// Delay metadata aligns index-for-index with deliveries only when
 	// every delivery in the bucket was scheduled with the probe attached.
-	aligned := len(b.delays) == len(b.deliveries)
-	for di, d := range b.deliveries {
+	var delays []int64
+	if int(id) < len(n.delays) {
+		delays = n.delays[id]
+	}
+	aligned := len(delays) == len(deliveries)
+	for di, d := range deliveries {
 		delay := int64(-1)
 		if aligned {
-			delay = b.delays[di]
+			delay = delays[di]
 		}
 		if len(n.ants[d.to]) == 0 {
 			n.antTargets = append(n.antTargets, d.to)

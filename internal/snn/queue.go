@@ -27,9 +27,14 @@ import (
 // moves into its ring slot at once, so a time inside the window is always
 // in the ring and nowhere else.
 //
-// A bucket new to the pool takes its first slabCap deliveries of capacity
-// from a shared slab, and a full delivery list doubles, so a fresh run
-// allocates a few dozen slabs instead of growing every bucket from empty.
+// A bucket is one 24-byte slice header, its delivery list. What few
+// steps carry lives beside the pool, indexed by bucket id: the induced
+// spikes in forced, which Run reads only while some are pending, and the
+// per-delivery delays in delays, written only while a FlightProbe is
+// attached. A bucket new to the pool takes its first slabCap deliveries
+// of capacity from a shared slab, and a full delivery list doubles, so a
+// fresh run allocates a few dozen slabs instead of growing every bucket
+// from empty.
 
 const (
 	// ringCap bounds the ring at 2^17 slots (512 KB); larger delays use
@@ -48,14 +53,11 @@ type delivery struct {
 	weight float64
 }
 
-// bucket collects everything that happens at one future time step.
-// delays carries per-delivery synaptic delays for provenance capture; it
-// is populated (index-aligned with deliveries) only while a FlightProbe
-// is attached, so the recorder-off path allocates nothing extra.
+// bucket collects the synaptic deliveries of one future time step; its
+// induced spikes and flight-probe delays are kept by bucket id in
+// Network.forced and Network.delays.
 type bucket struct {
 	deliveries []delivery
-	forced     []int32
-	delays     []int64
 }
 
 // ringSize returns the ring width for the given largest in-cap delay.
@@ -75,11 +77,11 @@ func (n *Network) inRing(t int64) bool {
 // pending reports whether any event is scheduled.
 func (n *Network) pending() bool { return n.ringCount > 0 || len(n.times) > 0 }
 
-// bucketAt resolves the pending-event bucket for time t >= base, creating
-// it on first use.
+// bucketID resolves the id of the pending-event bucket for time t >= base,
+// creating the bucket on first use.
 //
 //lint:hotpath called once per scheduled delivery from the step loop
-func (n *Network) bucketAt(t int64) *bucket {
+func (n *Network) bucketID(t int64) int32 {
 	if n.inRing(t) {
 		slot := int(t & int64(len(n.ring)-1))
 		id := n.ring[slot]
@@ -88,7 +90,7 @@ func (n *Network) bucketAt(t int64) *bucket {
 			n.ring[slot] = id
 			n.setOcc(slot)
 		}
-		return &n.buckets[id]
+		return id
 	}
 	id, ok := n.far[t]
 	if !ok {
@@ -96,7 +98,7 @@ func (n *Network) bucketAt(t int64) *bucket {
 		n.far[t] = id
 		n.pushTime(t)
 	}
-	return &n.buckets[id]
+	return id
 }
 
 // newBucket takes a bucket from the pool, or adds one whose delivery
@@ -133,6 +135,43 @@ func (b *bucket) schedule(d delivery) {
 	}
 	//lint:probealloc capacity reserved above
 	b.deliveries = append(b.deliveries, d)
+}
+
+// noteFlightDelay records the synaptic delay of the delivery just
+// scheduled in bucket id, for a FlightProbe's antecedents.
+//
+//lint:hotpath called once per scheduled delivery while a FlightProbe is attached
+func (n *Network) noteFlightDelay(id int32, d int64) {
+	for int(id) >= len(n.delays) {
+		//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
+		n.delays = append(n.delays, nil)
+	}
+	//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
+	n.delays[id] = append(n.delays[id], d)
+}
+
+// forcedOf returns the induced spikes pending in bucket id.
+func (n *Network) forcedOf(id int32) []int32 {
+	if int(id) < len(n.forced) {
+		return n.forced[id]
+	}
+	return nil
+}
+
+// takeForced returns the induced spikes of consumed bucket id and empties
+// its list, keeping the capacity; once none are pending it reads nothing.
+// The result stays valid until the next InduceSpike, which step never
+// calls.
+//
+//lint:hotpath called once per processed step
+func (n *Network) takeForced(id int32) []int32 {
+	if n.induced == 0 || int(id) >= len(n.forced) {
+		return nil
+	}
+	f := n.forced[id]
+	n.forced[id] = f[:0]
+	n.induced -= len(f)
+	return f
 }
 
 // setOcc marks ring slot as occupied.
@@ -250,14 +289,16 @@ func (n *Network) migrate() {
 	}
 }
 
-// release returns a consumed bucket to the pool, keeping its capacity.
+// release returns a consumed bucket to the pool, keeping its capacity;
+// its induced spikes were emptied by takeForced.
 //
 //lint:hotpath called once per processed step
 func (n *Network) release(id int32) {
 	b := &n.buckets[id]
 	b.deliveries = b.deliveries[:0]
-	b.forced = b.forced[:0]
-	b.delays = b.delays[:0]
+	if int(id) < len(n.delays) {
+		n.delays[id] = n.delays[id][:0]
+	}
 	//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
 	n.free = append(n.free, id)
 }
@@ -321,6 +362,10 @@ func (n *Network) clearQueue() {
 	for id := len(n.buckets) - 1; id >= 0; id-- {
 		n.release(int32(id))
 	}
+	for id := range n.forced {
+		n.forced[id] = n.forced[id][:0]
+	}
+	n.induced = 0
 }
 
 // pushTime adds t to the min-heap of far times.

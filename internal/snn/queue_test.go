@@ -10,7 +10,9 @@ import (
 )
 
 // fuzzNetwork builds a random netlist from seed: mixed decay regimes,
-// inhibitory weights, delays 1..300. With extra it appends further
+// inhibitory weights, delays 1..300 and, one synapse in 32, a delay at
+// the edge of the long-delay side table (2^31-2, 2^31-1, 2^31) or near
+// 2^62. With extra it appends further
 // synapses after the base ones, the shape a Connect issued after a Run
 // produces once it is compacted. It also returns every Connect call in
 // issue order, sources interleaved.
@@ -33,7 +35,11 @@ func fuzzNetwork(seed int64, rule FireRule, extra bool) (*Network, []stagedSynap
 	connect := func(k int) {
 		for s := 0; s < k; s++ {
 			w := float64(r.Intn(7)) - 3
-			s := stagedSynapse{from: int32(r.Intn(nn)), to: int32(r.Intn(nn)), weight: w, delay: int64(r.Intn(300) + 1)}
+			d := int64(r.Intn(300) + 1)
+			if r.Intn(32) == 0 {
+				d = []int64{longDelay - 1, longDelay, longDelay + 1, 1<<62 + int64(r.Intn(1024))}[r.Intn(4)]
+			}
+			s := stagedSynapse{from: int32(r.Intn(nn)), to: int32(r.Intn(nn)), weight: w, delay: d}
 			net.Connect(int(s.from), int(s.to), s.weight, s.delay)
 			calls = append(calls, s)
 		}

@@ -46,22 +46,26 @@
 // run (the SSSP relay network, one run, carries one).
 //
 // Synapses are stored in CSR (compressed sparse row) form: per-neuron
-// offsets plus one synapse array. A Connect in source order (from at or
-// after the last neuron that has synapses) writes straight into it; any
-// other Connect goes to a flat staging slice that the first Run or
-// structural read merges in with a stable counting sort. A builder that
-// knows every row's final size can instead lay the rows out up front
-// (SizeRows) and Place each synapse into its row in any source order,
-// with no staging and no merge. Loading a graph is O(n+m) with a handful
-// of allocations either way, and each neuron's fan-out keeps the order
-// its synapses were added in. Pending events live in pooled, recycled
-// time buckets, found by time through a ring indexed by t mod W (W the
-// power of two above the largest delay under 2^17, at least 64). A
-// two-level occupancy bitmap over the ring (one bit per slot, one per
-// nonzero bitmap word) finds the next pending time, so no heap orders the
-// steps. The rare time at or beyond the window (huge delays, injector
-// jitter, far-future inputs) waits in a small far map ordered by a
-// min-heap, and moves into the ring as soon as the window reaches it. A
+// offsets plus one array of 16-byte synapses. A delay of 2^31-1 or more
+// (graph.Inf crossbar drops, huge netlist delays) is stored as that
+// sentinel, its true value in a side table by synapse index that the step
+// reads only on the sentinel. A Connect in source order (from at or after
+// the last neuron that has synapses) writes straight into it; any other
+// Connect goes to a flat staging slice that the first Run or structural
+// read merges in with a stable counting sort. A builder that knows every
+// row's final size can instead lay the rows out up front (SizeRows) and
+// Place each synapse into its row in any source order, with no staging and
+// no merge. Loading a graph is O(n+m) with a handful of allocations either
+// way, and each neuron's fan-out keeps the order its synapses were added
+// in. Pending events live in pooled, recycled time buckets, each one
+// 24-byte delivery-list header (induced spikes and flight-probe delays are
+// kept beside the pool by bucket id), found by time through a ring indexed
+// by t mod W (W the power of two above the largest delay under 2^17, at
+// least 64). A two-level occupancy bitmap over the ring (one bit per slot,
+// one per nonzero bitmap word) finds the next pending time, so no heap
+// orders the steps. The rare time at or beyond the window (huge delays,
+// injector jitter, far-future inputs) waits in a small far map ordered by
+// a min-heap, and moves into the ring as soon as the window reaches it. A
 // new bucket takes its first delivery capacity from a shared slab and a
 // full one doubles, so a fresh run allocates a few dozen times, not once
 // per bucket; a warm network re-run after Reset allocates nothing unless
@@ -112,11 +116,23 @@ func Integrator(threshold float64) Neuron {
 }
 
 // synapse is a directed connection with programmable weight and delay,
-// as stored in the compacted CSR layout (the source is implied by the row).
+// as stored in the compacted CSR layout (the source is implied by the
+// row), in 16 bytes. A delay of longDelay or more is stored as longDelay
+// and its true value kept in Network.long under the synapse's index.
 type synapse struct {
 	to     int32
+	delay  int32
 	weight float64
-	delay  int64
+}
+
+// longDelay marks a synapse whose delay lives in Network.long: the
+// graph.Inf drops of a crossbar and huge netlist delays.
+const longDelay = math.MaxInt32
+
+// packSynapse returns the stored form of a synapse; a delay of longDelay
+// or more must also go into the side table.
+func packSynapse(to int32, weight float64, delay int64) synapse {
+	return synapse{to: to, delay: int32(min(delay, longDelay)), weight: weight}
 }
 
 // cell is one neuron's engine state, padded to one 64-byte cache line.
@@ -185,6 +201,7 @@ type Network struct {
 	// slots still to Place.
 	off      []int32
 	syn      []synapse
+	long     map[int32]int64 // true delay of each syn entry marked longDelay, by index
 	staged   []stagedSynapse
 	ends     []int32
 	open     int
@@ -194,6 +211,9 @@ type Network struct {
 
 	// pending-event queue (see queue.go)
 	buckets   []bucket
+	forced    [][]int32  // induced spikes by bucket id
+	delays    [][]int64  // flight-probe delays by bucket id
+	induced   int        // induced spikes pending in forced
 	free      []int32    // recycled bucket ids
 	slab      []delivery // first delivery capacity of buckets new to the pool
 	ring      []int32    // bucket id by t & (len-1), or -1
@@ -355,7 +375,8 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 		for len(n.off) < from+2 {
 			n.off = append(n.off, int32(len(n.syn)))
 		}
-		n.syn = append(n.syn, synapse{to: int32(to), weight: weight, delay: delay})
+		n.setLong(int32(len(n.syn)), delay)
+		n.syn = append(n.syn, packSynapse(int32(to), weight, delay))
 		n.off[from+1]++
 	} else {
 		n.staged = append(n.staged, stagedSynapse{from: int32(from), to: int32(to), weight: weight, delay: delay})
@@ -375,6 +396,26 @@ func (n *Network) checkSynapse(from, to int, weight float64, delay int64) {
 	if math.IsNaN(weight) {
 		panic("snn: NaN synapse weight")
 	}
+}
+
+// setLong records the true delay of synapse k when it is too long for
+// the stored form.
+func (n *Network) setLong(k int32, delay int64) {
+	if delay < longDelay {
+		return
+	}
+	if n.long == nil {
+		n.long = make(map[int32]int64)
+	}
+	n.long[k] = delay
+}
+
+// delayOf returns the true delay of synapse k.
+func (n *Network) delayOf(k int32) int64 {
+	if d := n.syn[k].delay; d != longDelay {
+		return int64(d)
+	}
+	return n.long[k]
 }
 
 // noteDelay tracks the largest in-ring delay, which sizes the ring.
@@ -434,7 +475,8 @@ func (n *Network) Place(from, to int, weight float64, delay int64) {
 		n.badPlace(from, to, weight, delay)
 	}
 	k := n.off[from+1]
-	n.syn[k] = synapse{to: int32(to), weight: weight, delay: delay}
+	n.syn[k] = packSynapse(int32(to), weight, delay)
+	n.setLong(k, delay)
 	n.off[from+1] = k + 1
 	n.noteDelay(delay)
 	if n.open--; n.open == 0 {
@@ -455,7 +497,8 @@ func (n *Network) badPlace(from, to int, weight float64, delay int64) {
 // compact merges the staged synapses into the CSR layout with a stable
 // counting sort: each neuron keeps its synapses in insertion order, with
 // staged ones following those already in the layout, so delivery order
-// (and thus FirstCause) is exactly Connect order. It then gives neurons
+// (and thus FirstCause) is exactly Connect order; the long-delay side
+// table follows its synapses to their new indices. It then gives neurons
 // past the last row empty rows and sizes the event ring to the largest
 // delay. Run and every structural reader call it; it is a no-op once the
 // layout is current.
@@ -479,13 +522,25 @@ func (n *Network) compact() {
 			off[i], sum = sum, sum+off[i]
 		}
 		syn := make([]synapse, sum)
+		old := n.long
+		n.long = nil
 		for i := 0; i+1 < len(n.off); i++ {
 			k := off[i+1]
-			off[i+1] += int32(copy(syn[k:], n.syn[n.off[i]:n.off[i+1]]))
+			row := n.syn[n.off[i]:n.off[i+1]]
+			off[i+1] += int32(copy(syn[k:], row))
+			if len(old) > 0 {
+				for j, s := range row {
+					if s.delay == longDelay {
+						n.setLong(k+int32(j), old[n.off[i]+int32(j)])
+					}
+				}
+			}
 		}
 		for _, s := range n.staged {
-			syn[off[s.from+1]] = synapse{to: s.to, weight: s.weight, delay: s.delay}
-			off[s.from+1]++
+			k := off[s.from+1]
+			syn[k] = packSynapse(s.to, s.weight, s.delay)
+			n.setLong(k, s.delay)
+			off[s.from+1] = k + 1
 		}
 		n.off, n.syn, n.staged = off, syn, nil
 	}
@@ -496,9 +551,6 @@ func (n *Network) compact() {
 		n.resizeRing(w)
 	}
 }
-
-// fanout returns neuron i's outgoing synapses; the layout must be compact.
-func (n *Network) fanout(i int32) []synapse { return n.syn[n.off[i]:n.off[i+1]] }
 
 // InduceSpike forces neuron i to fire at time t >= current time, at a
 // step Run has not processed yet. This is the input mechanism of
@@ -514,8 +566,12 @@ func (n *Network) InduceSpike(i int, t int64) {
 	if t <= n.lastStep {
 		panic(fmt.Sprintf("snn: induce at time %d, a step already processed", t))
 	}
-	b := n.bucketAt(t)
-	b.forced = append(b.forced, int32(i))
+	id := n.bucketID(t)
+	for int(id) >= len(n.forced) {
+		n.forced = append(n.forced, nil)
+	}
+	n.forced[id] = append(n.forced[id], int32(i))
+	n.induced++
 	n.pendingEvents++
 }
 
@@ -577,13 +633,15 @@ func (n *Network) Run(maxTime int64) Result {
 		}
 		id := n.take(t)
 		n.now = t
+		// A copy of the header: scheduling may grow the bucket pool.
 		b := n.buckets[id]
-		n.pendingEvents -= int64(len(b.deliveries) + len(b.forced))
+		forced := n.takeForced(id)
+		n.pendingEvents -= int64(len(b.deliveries) + len(forced))
 		if t > n.lastStep+1 {
 			n.stats.SilentStepsSkipped += t - n.lastStep - 1
 		}
 		n.lastStep = t
-		halted := n.step(t, &b)
+		halted := n.step(t, id, b.deliveries, forced)
 		n.release(id)
 		if halted {
 			return Result{Halted: true, TerminalTime: t, Now: t, Stats: n.stats}
@@ -596,18 +654,17 @@ func (n *Network) Run(maxTime int64) Result {
 	return Result{TimedOut: true, Now: n.now, Stats: n.stats}
 }
 
-// step processes all activity at time t and returns true if a terminal
-// fired. b is a copy of the consumed bucket's header: scheduling may grow
-// the bucket pool while b's slices are being read.
+// step processes all activity at time t, the deliveries and induced
+// spikes of consumed bucket id, and returns true if a terminal fired.
 //
 //lint:hotpath the per-step inner loop; TestEngineSteadyStateZeroAlloc pins it at 0 allocs
-func (n *Network) step(t int64, b *bucket) bool {
+func (n *Network) step(t int64, id int32, deliveries []delivery, forced []int32) bool {
 	n.stats.Steps++
 	n.gen++
 	gen := n.gen
 	cells := n.cells
 	touched := n.touched[:0]
-	for _, d := range b.deliveries {
+	for _, d := range deliveries {
 		c := &cells[d.to]
 		if c.touchedAt != gen {
 			c.touchedAt = gen
@@ -622,14 +679,14 @@ func (n *Network) step(t int64, b *bucket) bool {
 		}
 	}
 	n.touched = touched
-	n.stats.Deliveries += int64(len(b.deliveries))
+	n.stats.Deliveries += int64(len(deliveries))
 	if n.flight != nil {
-		n.captureAntecedents(b)
+		n.captureAntecedents(id, deliveries)
 	}
 
 	// Determine firings: forced inputs plus threshold crossings.
 	fired := n.fired[:0]
-	for _, i := range b.forced {
+	for _, i := range forced {
 		if c := &cells[i]; c.forcedAt != gen {
 			if n.injector != nil && !n.injector.FilterFire(t, i, true) {
 				continue // stuck-at-silent: even induced inputs are lost
@@ -692,8 +749,12 @@ func (n *Network) step(t int64, b *bucket) bool {
 			n.spikeLog[i] = append(n.spikeLog[i], t)
 		}
 		scheduled := 0
-		for _, s := range n.fanout(i) {
-			w, d := s.weight, s.delay
+		lo := n.off[i]
+		for k, s := range n.syn[lo:n.off[i+1]] {
+			w, d := s.weight, int64(s.delay)
+			if s.delay == longDelay {
+				d = n.long[lo+int32(k)]
+			}
 			if n.injector != nil {
 				var drop bool
 				if w, d, drop = n.injector.FilterDelivery(t, i, s.to, w, d); drop {
@@ -703,11 +764,10 @@ func (n *Network) step(t int64, b *bucket) bool {
 					d = 1 // hardware minimum delay
 				}
 			}
-			nb := n.bucketAt(t + d)
-			nb.schedule(delivery{to: s.to, from: i, weight: w})
+			nid := n.bucketID(t + d)
+			n.buckets[nid].schedule(delivery{to: s.to, from: i, weight: w})
 			if n.flight != nil {
-				//lint:probealloc amortized reuse, pinned by TestEngineSteadyStateZeroAlloc
-				nb.delays = append(nb.delays, d)
+				n.noteFlightDelay(nid, d)
 			}
 			scheduled++
 		}
@@ -741,7 +801,7 @@ func (n *Network) step(t int64, b *bucket) bool {
 		}
 	}
 	if n.probe != nil {
-		n.probe.OnStep(t, len(fired), len(b.deliveries), len(touched), int(n.pendingEvents))
+		n.probe.OnStep(t, len(fired), len(deliveries), len(touched), int(n.pendingEvents))
 	}
 	return terminal
 }
@@ -781,10 +841,11 @@ func (n *Network) Params(i int) Neuron { return n.params[n.cells[i].param] }
 // OutSynapses returns copies of neuron i's outgoing synapses.
 func (n *Network) OutSynapses(i int) []SynapseInfo {
 	n.compact()
-	row := n.fanout(int32(i))
-	out := make([]SynapseInfo, len(row))
-	for k, s := range row {
-		out[k] = SynapseInfo{To: int(s.to), Weight: s.weight, Delay: s.delay}
+	lo := n.off[i]
+	out := make([]SynapseInfo, n.off[i+1]-lo)
+	for k := range out {
+		s := n.syn[lo+int32(k)]
+		out[k] = SynapseInfo{To: int(s.to), Weight: s.weight, Delay: n.delayOf(lo + int32(k))}
 	}
 	return out
 }
@@ -795,7 +856,7 @@ func (n *Network) OutSynapses(i int) []SynapseInfo {
 func (n *Network) InducedSpikes() map[int64][]int {
 	out := make(map[int64][]int)
 	for _, t := range n.pendingTimes() {
-		for _, i := range n.buckets[n.lookup(t)].forced {
+		for _, i := range n.forcedOf(n.lookup(t)) {
 			out[t] = append(out[t], int(i))
 		}
 	}

@@ -85,14 +85,15 @@ func (n *Network) spec() *netSpec {
 	}
 	s.synapses = make([]specSynapse, 0, len(n.syn))
 	for from := int32(0); int(from) < len(n.cells); from++ {
-		for _, syn := range n.fanout(from) {
+		for k := n.off[from]; k < n.off[from+1]; k++ {
+			syn := n.syn[k]
 			s.synapses = append(s.synapses, specSynapse{
-				From: int(from), To: int(syn.to), Weight: syn.weight, Delay: syn.delay,
+				From: int(from), To: int(syn.to), Weight: syn.weight, Delay: n.delayOf(k),
 			})
 		}
 	}
 	for _, t := range n.pendingTimes() {
-		for _, id := range n.buckets[n.lookup(t)].forced {
+		for _, id := range n.forcedOf(n.lookup(t)) {
 			s.induced = append(s.induced, specInduced{Time: t, Neuron: int(id)})
 		}
 	}
