@@ -31,14 +31,14 @@ func TestSynapseAndBucketSize(t *testing.T) {
 	}
 }
 
-// TestLongDelays: a delay of 2^31-1 or more is stored as a sentinel with
-// its true value in a side table. Whichever way the synapses enter the
-// layout (source-order Connect, staged Connect, SizeRows and Place, or a
-// re-compaction after Reset that moves their row), OutSynapses, the
-// netlist round trip and DenseRun see the true delays, and Run delivers
-// at them.
+// TestLongDelays: a delay of 2^30 or more is stored as a reference into
+// a side table, one entry per run of equal delays. Whichever way the
+// synapses enter the layout (source-order Connect, staged Connect,
+// SizeRows and Place, or a re-compaction after Reset that moves their
+// row), OutSynapses, the netlist round trip and DenseRun see the true
+// delays, and Run delivers at them.
 func TestLongDelays(t *testing.T) {
-	delays := []int64{math.MaxInt32 - 1, math.MaxInt32, math.MaxInt32 + 1, 1<<62 + 3, 7}
+	delays := []int64{longBase - 1, longBase, longBase + 1, math.MaxInt32, math.MaxInt32 + 1, 1<<62 + 3, 1<<62 + 3, 7, longBase}
 	var want []SynapseInfo
 	for i, d := range delays {
 		want = append(want, SynapseInfo{To: 2 + i, Weight: 1, Delay: d})
@@ -99,6 +99,9 @@ func TestLongDelays(t *testing.T) {
 		net := b.build()
 		if got := net.OutSynapses(1); !slices.Equal(got, want) {
 			t.Fatalf("%s: fan-out %v, want %v", b.name, got, want)
+		}
+		if len(net.long) != 6 {
+			t.Fatalf("%s: side table %v, want 6 entries", b.name, net.long)
 		}
 		var text bytes.Buffer
 		if err := WriteNetlist(&text, net); err != nil {

@@ -34,8 +34,8 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 	times := n.pendingTimes()
 	forced := make(map[int64][]int32, len(times))
 	maxDelay := int64(1)
-	for k := range n.syn {
-		maxDelay = max(maxDelay, n.delayOf(int32(k)))
+	for _, s := range n.syn {
+		maxDelay = max(maxDelay, n.delayOf(s))
 	}
 	for _, t := range times {
 		id := n.lookup(t)
@@ -77,9 +77,9 @@ func (n *Network) DenseRun(maxTime int64) [][]int {
 			slot[i] = 0
 		}
 		for _, i := range fired {
-			for k := n.off[i]; k < n.off[i+1]; k++ {
-				if d := n.delayOf(k); d <= maxTime-t {
-					synIn[(t+d)%window][n.syn[k].to] += n.syn[k].weight
+			for _, s := range n.fanout(int32(i)) {
+				if d := n.delayOf(s); d <= maxTime-t {
+					synIn[(t+d)%window][s.to] += s.weight
 				}
 			}
 		}

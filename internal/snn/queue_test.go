@@ -3,6 +3,7 @@ package snn
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -11,8 +12,8 @@ import (
 
 // fuzzNetwork builds a random netlist from seed: mixed decay regimes,
 // inhibitory weights, delays 1..300 and, one synapse in 32, a delay at
-// the edge of the long-delay side table (2^31-2, 2^31-1, 2^31) or near
-// 2^62. With extra it appends further
+// the edge of the long-delay side table (2^30-1, 2^30, 2^30+1), at
+// 2^31-1 or near 2^62. With extra it appends further
 // synapses after the base ones, the shape a Connect issued after a Run
 // produces once it is compacted. It also returns every Connect call in
 // issue order, sources interleaved.
@@ -37,7 +38,7 @@ func fuzzNetwork(seed int64, rule FireRule, extra bool) (*Network, []stagedSynap
 			w := float64(r.Intn(7)) - 3
 			d := int64(r.Intn(300) + 1)
 			if r.Intn(32) == 0 {
-				d = []int64{longDelay - 1, longDelay, longDelay + 1, 1<<62 + int64(r.Intn(1024))}[r.Intn(4)]
+				d = []int64{longBase - 1, longBase, longBase + 1, math.MaxInt32, 1<<62 + int64(r.Intn(1024))}[r.Intn(5)]
 			}
 			s := stagedSynapse{from: int32(r.Intn(nn)), to: int32(r.Intn(nn)), weight: w, delay: d}
 			net.Connect(int(s.from), int(s.to), s.weight, s.delay)

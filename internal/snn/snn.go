@@ -46,30 +46,30 @@
 // run (the SSSP relay network, one run, carries one).
 //
 // Synapses are stored in CSR (compressed sparse row) form: per-neuron
-// offsets plus one array of 16-byte synapses. A delay of 2^31-1 or more
-// (graph.Inf crossbar drops, huge netlist delays) is stored as that
-// sentinel, its true value in a side table by synapse index that the step
-// reads only on the sentinel. A Connect in source order (from at or after
-// the last neuron that has synapses) writes straight into it; any other
-// Connect goes to a flat staging slice that the first Run or structural
-// read merges in with a stable counting sort. A builder that knows every
-// row's final size can instead lay the rows out up front (SizeRows) and
-// Place each synapse into its row in any source order, with no staging and
-// no merge. Loading a graph is O(n+m) with a handful of allocations either
-// way, and each neuron's fan-out keeps the order its synapses were added
-// in. Pending events live in pooled, recycled time buckets, each one
-// 24-byte delivery-list header (induced spikes and flight-probe delays are
-// kept beside the pool by bucket id), found by time through a ring indexed
-// by t mod W (W the power of two above the largest delay under 2^17, at
-// least 64). A two-level occupancy bitmap over the ring (one bit per slot,
-// one per nonzero bitmap word) finds the next pending time, so no heap
-// orders the steps. The rare time at or beyond the window (huge delays,
-// injector jitter, far-future inputs) waits in a small far map ordered by
-// a min-heap, and moves into the ring as soon as the window reaches it. A
-// new bucket takes its first delivery capacity from a shared slab and a
-// full one doubles, so a fresh run allocates a few dozen times, not once
-// per bucket; a warm network re-run after Reset allocates nothing unless
-// Config.Record keeps spike trains.
+// offsets plus one array of 16-byte synapses. A delay of 2^30 or more
+// (graph.Inf crossbar drops, huge netlist delays) is stored as a reference
+// into a side table of true values, one entry per run of equal delays,
+// which the step reads only for such a synapse. A Connect in source order
+// (from at or after the last neuron that has synapses) writes straight
+// into it; any other Connect goes to a flat staging slice that the first
+// Run or structural read merges in with a stable counting sort. A builder
+// that knows every row's final size can instead lay the rows out up front
+// (SizeRows) and Place each synapse into its row in any source order, with
+// no staging and no merge. Loading a graph is O(n+m) with a handful of
+// allocations either way, and each neuron's fan-out keeps the order its
+// synapses were added in. Pending events live in pooled, recycled time
+// buckets, each one 24-byte delivery-list header (induced spikes and
+// flight-probe delays are kept beside the pool by bucket id), found by
+// time through a ring indexed by t mod W (W the power of two above the
+// largest delay under 2^17, at least 64). A two-level occupancy bitmap
+// over the ring (one bit per slot, one per nonzero bitmap word) finds the
+// next pending time, so no heap orders the steps. The rare time at or
+// beyond the window (huge delays, injector jitter, far-future inputs)
+// waits in a small far map ordered by a min-heap, and moves into the ring
+// as soon as the window reaches it. A new bucket takes its first delivery
+// capacity from a shared slab and a full one doubles, so a fresh run
+// allocates a few dozen times, not once per bucket; a warm network re-run
+// after Reset allocates nothing unless Config.Record keeps spike trains.
 package snn
 
 import (
@@ -117,22 +117,51 @@ func Integrator(threshold float64) Neuron {
 
 // synapse is a directed connection with programmable weight and delay,
 // as stored in the compacted CSR layout (the source is implied by the
-// row), in 16 bytes. A delay of longDelay or more is stored as longDelay
-// and its true value kept in Network.long under the synapse's index.
+// row), in 16 bytes. A delay below longBase is stored as itself; a
+// longer one as longBase+j, its true value being Network.long[j].
+// packSynapse writes the stored form and delayOf reads it.
 type synapse struct {
 	to     int32
 	delay  int32
 	weight float64
 }
 
-// longDelay marks a synapse whose delay lives in Network.long: the
-// graph.Inf drops of a crossbar and huge netlist delays.
-const longDelay = math.MaxInt32
+// longBase is the least delay kept in the Network.long side table: the
+// graph.Inf drops of a crossbar and huge netlist delays. The reference
+// rides in the synapse, so compaction moves it with the row, and a
+// corrupted 0 or negative delay still reads as itself.
+const longBase = 1 << 30
 
-// packSynapse returns the stored form of a synapse; a delay of longDelay
-// or more must also go into the side table.
-func packSynapse(to int32, weight float64, delay int64) synapse {
-	return synapse{to: to, delay: int32(min(delay, longDelay)), weight: weight}
+// packSynapse returns the stored form of a synapse, adding a delay of
+// longBase or more to the side table. An entry equal to the last one
+// added is reused, so a run of equal long delays (a crossbar's graph.Inf
+// drops) shares one.
+func (n *Network) packSynapse(to int32, weight float64, delay int64) synapse {
+	d := int32(delay)
+	if delay >= longBase {
+		j := len(n.long) - 1
+		if j < 0 || n.long[j] != delay {
+			if j = len(n.long); j > math.MaxInt32-longBase {
+				panic(fmt.Sprintf("snn: more than %d distinct long delays", math.MaxInt32-longBase+1))
+			}
+			n.long = append(n.long, delay)
+		}
+		d = longBase + int32(j)
+	}
+	return synapse{to: to, delay: d, weight: weight}
+}
+
+// delayOf returns the true delay of s. A reference past the side table
+// (only a corrupted network holds one) reads as 0, which Validate
+// reports as delay-min.
+func (n *Network) delayOf(s synapse) int64 {
+	if s.delay < longBase {
+		return int64(s.delay)
+	}
+	if j := int(s.delay - longBase); j < len(n.long) {
+		return n.long[j]
+	}
+	return 0
 }
 
 // cell is one neuron's engine state, padded to one 64-byte cache line.
@@ -201,7 +230,7 @@ type Network struct {
 	// slots still to Place.
 	off      []int32
 	syn      []synapse
-	long     map[int32]int64 // true delay of each syn entry marked longDelay, by index
+	long     []int64 // true delays of the syn entries stored as longBase+j, at j
 	staged   []stagedSynapse
 	ends     []int32
 	open     int
@@ -375,8 +404,7 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 		for len(n.off) < from+2 {
 			n.off = append(n.off, int32(len(n.syn)))
 		}
-		n.setLong(int32(len(n.syn)), delay)
-		n.syn = append(n.syn, packSynapse(int32(to), weight, delay))
+		n.syn = append(n.syn, n.packSynapse(int32(to), weight, delay))
 		n.off[from+1]++
 	} else {
 		n.staged = append(n.staged, stagedSynapse{from: int32(from), to: int32(to), weight: weight, delay: delay})
@@ -396,26 +424,6 @@ func (n *Network) checkSynapse(from, to int, weight float64, delay int64) {
 	if math.IsNaN(weight) {
 		panic("snn: NaN synapse weight")
 	}
-}
-
-// setLong records the true delay of synapse k when it is too long for
-// the stored form.
-func (n *Network) setLong(k int32, delay int64) {
-	if delay < longDelay {
-		return
-	}
-	if n.long == nil {
-		n.long = make(map[int32]int64)
-	}
-	n.long[k] = delay
-}
-
-// delayOf returns the true delay of synapse k.
-func (n *Network) delayOf(k int32) int64 {
-	if d := n.syn[k].delay; d != longDelay {
-		return int64(d)
-	}
-	return n.long[k]
 }
 
 // noteDelay tracks the largest in-ring delay, which sizes the ring.
@@ -475,8 +483,7 @@ func (n *Network) Place(from, to int, weight float64, delay int64) {
 		n.badPlace(from, to, weight, delay)
 	}
 	k := n.off[from+1]
-	n.syn[k] = packSynapse(int32(to), weight, delay)
-	n.setLong(k, delay)
+	n.syn[k] = n.packSynapse(int32(to), weight, delay)
 	n.off[from+1] = k + 1
 	n.noteDelay(delay)
 	if n.open--; n.open == 0 {
@@ -497,8 +504,7 @@ func (n *Network) badPlace(from, to int, weight float64, delay int64) {
 // compact merges the staged synapses into the CSR layout with a stable
 // counting sort: each neuron keeps its synapses in insertion order, with
 // staged ones following those already in the layout, so delivery order
-// (and thus FirstCause) is exactly Connect order; the long-delay side
-// table follows its synapses to their new indices. It then gives neurons
+// (and thus FirstCause) is exactly Connect order. It then gives neurons
 // past the last row empty rows and sizes the event ring to the largest
 // delay. Run and every structural reader call it; it is a no-op once the
 // layout is current.
@@ -522,25 +528,13 @@ func (n *Network) compact() {
 			off[i], sum = sum, sum+off[i]
 		}
 		syn := make([]synapse, sum)
-		old := n.long
-		n.long = nil
 		for i := 0; i+1 < len(n.off); i++ {
 			k := off[i+1]
-			row := n.syn[n.off[i]:n.off[i+1]]
-			off[i+1] += int32(copy(syn[k:], row))
-			if len(old) > 0 {
-				for j, s := range row {
-					if s.delay == longDelay {
-						n.setLong(k+int32(j), old[n.off[i]+int32(j)])
-					}
-				}
-			}
+			off[i+1] += int32(copy(syn[k:], n.syn[n.off[i]:n.off[i+1]]))
 		}
 		for _, s := range n.staged {
-			k := off[s.from+1]
-			syn[k] = packSynapse(s.to, s.weight, s.delay)
-			n.setLong(k, s.delay)
-			off[s.from+1] = k + 1
+			syn[off[s.from+1]] = n.packSynapse(s.to, s.weight, s.delay)
+			off[s.from+1]++
 		}
 		n.off, n.syn, n.staged = off, syn, nil
 	}
@@ -551,6 +545,9 @@ func (n *Network) compact() {
 		n.resizeRing(w)
 	}
 }
+
+// fanout returns neuron i's outgoing synapses; the layout must be compact.
+func (n *Network) fanout(i int32) []synapse { return n.syn[n.off[i]:n.off[i+1]] }
 
 // InduceSpike forces neuron i to fire at time t >= current time, at a
 // step Run has not processed yet. This is the input mechanism of
@@ -749,12 +746,8 @@ func (n *Network) step(t int64, id int32, deliveries []delivery, forced []int32)
 			n.spikeLog[i] = append(n.spikeLog[i], t)
 		}
 		scheduled := 0
-		lo := n.off[i]
-		for k, s := range n.syn[lo:n.off[i+1]] {
-			w, d := s.weight, int64(s.delay)
-			if s.delay == longDelay {
-				d = n.long[lo+int32(k)]
-			}
+		for _, s := range n.fanout(i) {
+			w, d := s.weight, n.delayOf(s)
 			if n.injector != nil {
 				var drop bool
 				if w, d, drop = n.injector.FilterDelivery(t, i, s.to, w, d); drop {
@@ -841,11 +834,10 @@ func (n *Network) Params(i int) Neuron { return n.params[n.cells[i].param] }
 // OutSynapses returns copies of neuron i's outgoing synapses.
 func (n *Network) OutSynapses(i int) []SynapseInfo {
 	n.compact()
-	lo := n.off[i]
-	out := make([]SynapseInfo, n.off[i+1]-lo)
-	for k := range out {
-		s := n.syn[lo+int32(k)]
-		out[k] = SynapseInfo{To: int(s.to), Weight: s.weight, Delay: n.delayOf(lo + int32(k))}
+	row := n.fanout(int32(i))
+	out := make([]SynapseInfo, len(row))
+	for k, s := range row {
+		out[k] = SynapseInfo{To: int(s.to), Weight: s.weight, Delay: n.delayOf(s)}
 	}
 	return out
 }

@@ -85,10 +85,9 @@ func (n *Network) spec() *netSpec {
 	}
 	s.synapses = make([]specSynapse, 0, len(n.syn))
 	for from := int32(0); int(from) < len(n.cells); from++ {
-		for k := n.off[from]; k < n.off[from+1]; k++ {
-			syn := n.syn[k]
+		for _, syn := range n.fanout(from) {
 			s.synapses = append(s.synapses, specSynapse{
-				From: int(from), To: int(syn.to), Weight: syn.weight, Delay: n.delayOf(k),
+				From: int(from), To: int(syn.to), Weight: syn.weight, Delay: n.delayOf(syn),
 			})
 		}
 	}
