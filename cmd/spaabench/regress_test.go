@@ -81,6 +81,15 @@ func TestRegress(t *testing.T) {
 		{"stats.spikes x2", perturbed("BENCH_snn_sssp.json", func(m *telemetry.Manifest) {
 			m.Stats.Spikes *= 2
 		}), 1, "stats.spikes:"},
+		// BENCH_snn_sssp.json is the one baseline that gates the per-step
+		// series a telemetry.Recorder writes.
+		{"deliveries_per_step value +1", perturbed("BENCH_snn_sssp.json", func(m *telemetry.Manifest) {
+			for i := range m.Series {
+				if m.Series[i].Name == "deliveries_per_step" {
+					m.Series[i].Values[0]++
+				}
+			}
+		}), 1, "series.deliveries_per_step.sum:"},
 		{"perf.deliveries_per_step_milli +1", perturbed("BENCH_sssp_random_256.json", func(m *telemetry.Manifest) {
 			m.Perf.DeliveriesPerStepMilli++
 		}), 1, "perf.deliveries_per_step_milli:"},

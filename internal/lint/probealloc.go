@@ -26,9 +26,10 @@ import (
 // literals, make/new, append, fmt calls, string concatenation, and
 // function literals are diagnostics, as is a call into another analyzed
 // package whose facts mark the callee as allocating. Deliberate
-// allocations (e.g. telemetry.Recorder's amortized series appends — it is
-// the offline manifest recorder, not an engine-side counter) are recorded in
-// the committed spaavet baseline or waived in place with //lint:probealloc.
+// allocations are recorded in the committed spaavet baseline or waived in
+// place with //lint:probealloc. The baseline holds two: telemetry.Recorder's
+// one sample append per OnStep and per OnCongestRound, since the per-step
+// and per-round series are read back whole.
 var ProbeAlloc = &analysis.Analyzer{
 	Name: "probealloc",
 	Doc: "flags allocations (composite literals, fmt, string concat, append, " +

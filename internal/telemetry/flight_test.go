@@ -1,10 +1,16 @@
 package telemetry
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/core"
+	"repro/internal/distance"
+	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/snn"
 )
@@ -61,36 +67,83 @@ func TestFlightRecorderCopiesScratch(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrentEngines runs two probed SSSP engines in parallel
-// against one shared Recorder; with -race this doubles as the data-race
-// check for the mutex-protected Recorder, and the counter totals must be
-// the sum over both runs.
+// TestRecorderConcurrentEngines runs four goroutines against one shared
+// Recorder, each driving every probe kind in turn: a spiking SSSP engine,
+// a DISTANCE-machine Dijkstra, a CONGEST SSSP and a fleet traffic
+// analysis. With -race this doubles as the data-race check for the
+// mutex-protected Recorder; every counter and series total must be the
+// sum over the four runs.
 func TestRecorderConcurrentEngines(t *testing.T) {
-	g1 := graph.RandomGnm(96, 384, graph.Uniform(8), 11, true)
-	g2 := graph.RandomGnm(128, 512, graph.Uniform(6), 12, true)
+	type run struct {
+		sssp    *core.SSSPResult
+		dist    *distance.DijkstraResult
+		congest *congest.Result[int64]
+		fleet   *fleet.Traffic
+	}
 	rec := NewRecorder()
-
+	runs := make([]run, 4)
 	var wg sync.WaitGroup
-	results := make([]*core.SSSPResult, 2)
-	for i, g := range []*graph.Graph{g1, g2} {
+	for i := range runs {
 		wg.Add(1)
-		go func(i int, g *graph.Graph) {
+		go func(i int) {
 			defer wg.Done()
-			results[i] = mustSSSP(g, rec)
-		}(i, g)
+			g := graph.RandomGnm(96+32*i, 384+128*i, graph.Uniform(8), int64(11+i), true)
+			r := &runs[i]
+			r.sssp = mustSSSP(g, rec)
+			r.dist = distance.Dijkstra(g, 0, 4, distance.Spread, rec)
+			_, r.congest = congest.SSSP(g, 0, g.N(), rec)
+			r.fleet = fleet.AnalyzeSSSP(g, fleet.PartitionBFS(g, 24), r.sssp.Dist, rec)
+		}(i)
 	}
 	wg.Wait()
 
-	wantSpikes := results[0].Stats.Spikes + results[1].Stats.Spikes
-	if got := rec.TotalSpikes(); got != wantSpikes {
-		t.Fatalf("shared recorder spikes %d, want %d", got, wantSpikes)
+	var want struct{ spikes, deliveries, steps, movement, touches, messages, bits, intra, inter int64 }
+	wantChip := map[string]int64{}
+	for _, r := range runs {
+		want.spikes += r.sssp.Stats.Spikes
+		want.deliveries += r.sssp.Stats.Deliveries
+		want.steps += r.sssp.Stats.Steps
+		want.movement += r.dist.Movement
+		want.touches += r.dist.Touches
+		want.messages += r.congest.MessagesSent
+		want.bits += r.congest.TotalBits
+		want.intra += r.fleet.IntraChip
+		want.inter += r.fleet.InterChip
+		for chip, share := range r.fleet.PerChip {
+			wantChip[fmt.Sprintf("chip%d_sends_per_step", chip)] += share.Intra + share.Out
+		}
 	}
-	wantDeliveries := results[0].Stats.Deliveries + results[1].Stats.Deliveries
-	if got := rec.TotalDeliveries(); got != wantDeliveries {
-		t.Fatalf("shared recorder deliveries %d, want %d", got, wantDeliveries)
+	check := func(what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("shared recorder %s %d, want %d", what, got, want)
+		}
 	}
-	wantSteps := results[0].Stats.Steps + results[1].Stats.Steps
-	if got := int64(rec.StepCount()); got != wantSteps {
-		t.Fatalf("shared recorder steps %d, want %d", got, wantSteps)
+	check("spikes", rec.StepSeries("spikes").Sum(), want.spikes)
+	check("deliveries", rec.StepSeries("deliveries").Sum(), want.deliveries)
+	check("steps", int64(len(rec.StepSeries("spikes").Times)), want.steps)
+	check("distance_movement", rec.Counter("distance_movement"), want.movement)
+	check("distance touches", rec.Counter("distance_loads")+rec.Counter("distance_stores")+rec.Counter("distance_ops"), want.touches)
+	check("congest_messages", rec.Counter("congest_messages"), want.messages)
+	check("congest_bits", rec.Counter("congest_bits"), want.bits)
+	check("fleet_intra", rec.Counter("fleet_intra"), want.intra)
+	check("fleet_inter", rec.Counter("fleet_inter"), want.inter)
+
+	gotChip := map[string]int64{}
+	for _, s := range rec.Series() {
+		switch {
+		case s.Name == "bits_per_round":
+			check("bits_per_round sum", s.Sum(), want.bits)
+		case strings.HasPrefix(s.Name, "chip"):
+			gotChip[s.Name] = s.Sum()
+		}
+	}
+	for name, n := range wantChip {
+		if n == 0 {
+			delete(wantChip, name) // a chip that sent nothing has no series
+		}
+	}
+	if !reflect.DeepEqual(gotChip, wantChip) {
+		t.Errorf("chip series sums %v, want %v", gotChip, wantChip)
 	}
 }

@@ -16,7 +16,10 @@
 //   - fleet.Probe         — per delivery: send time and chips involved
 //
 // Recorder implements all four, so one value can watch a whole vertical
-// run (graph → algorithm → simulator → chips). See docs/OBSERVABILITY.md.
+// run (graph → algorithm → simulator → chips). It keeps totals, not event
+// logs: a DISTANCE primitive or fleet delivery is added into its count on
+// arrival, and only steps and CONGEST rounds keep one sample each, since
+// their series are read back whole. See docs/OBSERVABILITY.md.
 package telemetry
 
 import (
@@ -45,10 +48,22 @@ func (s *Series) Sum() int64 {
 	return total
 }
 
-// fleetEvent is one probed chip-to-chip delivery.
-type fleetEvent struct {
-	t        int64
-	from, to int
+// stepNames names the per-step series, in stepSample.v order.
+var stepNames = [...]string{"spikes", "deliveries", "active", "queue_depth"}
+
+// stepSample is one OnStep call; roundSample is one OnCongestRound call.
+type stepSample struct {
+	t int64
+	v [len(stepNames)]int64
+}
+
+type roundSample struct{ t, messages, bits int64 }
+
+// chipStep keys the fleet sends table: deliveries sent by one source chip
+// at one send time.
+type chipStep struct {
+	chip int
+	t    int64
 }
 
 // Recorder aggregates probe callbacks into time series and counters. It
@@ -65,19 +80,21 @@ type fleetEvent struct {
 type Recorder struct {
 	mu sync.Mutex
 
-	stepT, stepSpikes, stepDeliveries, stepActive, stepQueue []int64 // guarded by mu
+	steps  []stepSample  // guarded by mu
+	rounds []roundSample // guarded by mu
 
-	roundT, roundMessages, roundBits []int64 // guarded by mu
+	distanceOps      [3]int64 // guarded by mu; indexed by distance.OpKind
+	distanceMovement int64    // guarded by mu
 
-	fleetEvents []fleetEvent // guarded by mu
-	chipCount   int          // guarded by mu
+	sends                  map[chipStep]int64 // guarded by mu
+	fleetIntra, fleetInter int64              // guarded by mu
 
-	counters map[string]int64 // guarded by mu
+	counters map[string]int64 // guarded by mu; Add's ad-hoc counters
 }
 
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{counters: make(map[string]int64)}
+	return &Recorder{sends: make(map[chipStep]int64), counters: make(map[string]int64)}
 }
 
 // OnStep implements snn.StepProbe: one sample per non-silent simulated
@@ -85,49 +102,36 @@ func NewRecorder() *Recorder {
 func (r *Recorder) OnStep(t int64, spikes, deliveries, active, queueDepth int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.stepT = append(r.stepT, t)
-	r.stepSpikes = append(r.stepSpikes, int64(spikes))
-	r.stepDeliveries = append(r.stepDeliveries, int64(deliveries))
-	r.stepActive = append(r.stepActive, int64(active))
-	r.stepQueue = append(r.stepQueue, int64(queueDepth))
+	r.steps = append(r.steps, stepSample{t, [...]int64{int64(spikes), int64(deliveries), int64(active), int64(queueDepth)}})
 }
 
 // OnDistanceOp implements distance.Probe: per-primitive ℓ1 cost deltas,
-// aggregated into movement counters by kind.
+// counted by kind (an unknown kind counts as an op, as OpKind.String
+// names it).
 func (r *Recorder) OnDistanceOp(kind distance.OpKind, cost int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters["distance_"+kind.String()+"s"]++
-	r.counters["distance_movement"] += cost
+	r.distanceOps[min(uint(kind), uint(distance.KindOp))]++
+	r.distanceMovement += cost
 }
 
 // OnCongestRound implements congest.Probe: one sample per executed round.
 func (r *Recorder) OnCongestRound(round int, messages, bits int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.roundT = append(r.roundT, int64(round))
-	r.roundMessages = append(r.roundMessages, messages)
-	r.roundBits = append(r.roundBits, bits)
-	r.counters["congest_messages"] += messages
-	r.counters["congest_bits"] += bits
+	r.rounds = append(r.rounds, roundSample{int64(round), messages, bits})
 }
 
-// OnFleetDelivery implements fleet.Probe: one event per spike delivery
-// with its send time and the chips involved.
+// OnFleetDelivery implements fleet.Probe: one spike delivery, counted
+// into its source chip's sends at its send time.
 func (r *Recorder) OnFleetDelivery(t int64, fromChip, toChip int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.fleetEvents = append(r.fleetEvents, fleetEvent{t: t, from: fromChip, to: toChip})
-	if fromChip >= r.chipCount {
-		r.chipCount = fromChip + 1
-	}
-	if toChip >= r.chipCount {
-		r.chipCount = toChip + 1
-	}
+	r.sends[chipStep{fromChip, t}]++
 	if fromChip == toChip {
-		r.counters["fleet_intra"]++
+		r.fleetIntra++
 	} else {
-		r.counters["fleet_inter"]++
+		r.fleetInter++
 	}
 }
 
@@ -141,39 +145,7 @@ func (r *Recorder) Add(name string, delta int64) {
 
 // Counter returns the current value of a named counter (0 if never added).
 func (r *Recorder) Counter(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
-// StepCount returns the number of recorded simulator steps.
-func (r *Recorder) StepCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.stepT)
-}
-
-// TotalSpikes returns the sum of the per-step spike series — by
-// construction equal to the run's snn.Stats.Spikes.
-func (r *Recorder) TotalSpikes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total int64
-	for _, v := range r.stepSpikes {
-		total += v
-	}
-	return total
-}
-
-// TotalDeliveries returns the sum of the per-step delivery series.
-func (r *Recorder) TotalDeliveries() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total int64
-	for _, v := range r.stepDeliveries {
-		total += v
-	}
-	return total
+	return r.Counters()[name]
 }
 
 // StepSeries returns the named per-step series ("spikes", "deliveries",
@@ -182,32 +154,26 @@ func (r *Recorder) TotalDeliveries() int64 {
 func (r *Recorder) StepSeries(name string) *Series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stepSeriesLocked(name)
+	for i, n := range stepNames {
+		if n == name {
+			return r.stepSeriesLocked(i)
+		}
+	}
+	return nil
 }
 
-// stepSeriesLocked builds the named per-step series; r.mu must be held.
-func (r *Recorder) stepSeriesLocked(name string) *Series {
-	if len(r.stepT) == 0 {
+// stepSeriesLocked builds the per-step series of stepNames[i]; r.mu must
+// be held.
+func (r *Recorder) stepSeriesLocked(i int) *Series {
+	n := len(r.steps)
+	if n == 0 {
 		return nil
 	}
-	var vals []int64
-	switch name {
-	case "spikes":
-		vals = r.stepSpikes
-	case "deliveries":
-		vals = r.stepDeliveries
-	case "active":
-		vals = r.stepActive
-	case "queue_depth":
-		vals = r.stepQueue
-	default:
-		return nil
+	s := &Series{Name: stepNames[i] + "_per_step", Times: make([]int64, n), Values: make([]int64, n)}
+	for j, x := range r.steps {
+		s.Times[j], s.Values[j] = x.t, x.v[i]
 	}
-	return &Series{
-		Name:   name + "_per_step",
-		Times:  append([]int64(nil), r.stepT...),
-		Values: append([]int64(nil), vals...),
-	}
+	return s
 }
 
 // Series returns every recorded time series in deterministic order:
@@ -218,57 +184,53 @@ func (r *Recorder) Series() []Series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Series
-	for _, name := range []string{"spikes", "deliveries", "active", "queue_depth"} {
-		if s := r.stepSeriesLocked(name); s != nil {
+	for i := range stepNames {
+		if s := r.stepSeriesLocked(i); s != nil {
 			out = append(out, *s)
 		}
 	}
-	if len(r.roundT) > 0 {
-		roundT := append([]int64(nil), r.roundT...)
-		out = append(out,
-			Series{Name: "messages_per_round", Times: roundT, Values: append([]int64(nil), r.roundMessages...)},
-			Series{Name: "bits_per_round", Times: roundT, Values: append([]int64(nil), r.roundBits...)},
-		)
+	if n := len(r.rounds); n > 0 {
+		msgs := Series{Name: "messages_per_round", Times: make([]int64, n), Values: make([]int64, n)}
+		bits := Series{Name: "bits_per_round", Times: msgs.Times, Values: make([]int64, n)}
+		for i, x := range r.rounds {
+			msgs.Times[i], msgs.Values[i], bits.Values[i] = x.t, x.messages, x.bits
+		}
+		out = append(out, msgs, bits)
 	}
-	out = append(out, r.chipSeriesLocked()...)
-	return out
+	return append(out, r.chipSeriesLocked()...)
 }
 
-// chipSeriesLocked aggregates fleet events into one sends-per-time series
-// per source chip; r.mu must be held.
+// chipSeriesLocked builds one sends-per-time series per source chip from
+// the sends table, chips and times ascending; r.mu must be held.
 func (r *Recorder) chipSeriesLocked() []Series {
-	if len(r.fleetEvents) == 0 {
-		return nil
+	keys := make([]chipStep, 0, len(r.sends))
+	//lint:deterministic keys are sorted below before use
+	for k := range r.sends {
+		keys = append(keys, k)
 	}
-	perChip := make([]map[int64]int64, r.chipCount)
-	for _, e := range r.fleetEvents {
-		if perChip[e.from] == nil {
-			perChip[e.from] = make(map[int64]int64)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].chip != keys[j].chip {
+			return keys[i].chip < keys[j].chip
 		}
-		perChip[e.from][e.t]++
-	}
+		return keys[i].t < keys[j].t
+	})
 	var out []Series
-	for chip, m := range perChip {
-		if m == nil {
-			continue
+	for i, k := range keys {
+		if i == 0 || k.chip != keys[i-1].chip {
+			out = append(out, Series{Name: fmt.Sprintf("chip%d_sends_per_step", k.chip)})
 		}
-		times := make([]int64, 0, len(m))
-		//lint:deterministic keys are sorted below before use
-		for t := range m {
-			times = append(times, t)
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		s := Series{Name: fmt.Sprintf("chip%d_sends_per_step", chip)}
-		for _, t := range times {
-			s.Times = append(s.Times, t)
-			s.Values = append(s.Values, m[t])
-		}
-		out = append(out, s)
+		s := &out[len(out)-1]
+		s.Times = append(s.Times, k.t)
+		s.Values = append(s.Values, r.sends[k])
 	}
 	return out
 }
 
-// Counters returns a copy of the counter map.
+// Counters returns every counter by name: the ad-hoc ones from Add plus
+// the probe totals, each named once it has something to count.
+// distance_<kind>s appears once that kind ran and distance_movement once
+// any primitive ran, congest_* once any round ran, and fleet_intra and
+// fleet_inter once nonzero.
 func (r *Recorder) Counters() map[string]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -276,6 +238,31 @@ func (r *Recorder) Counters() map[string]int64 {
 	//lint:deterministic copies into a map; per-key, order-independent
 	for k, v := range r.counters {
 		out[k] = v
+	}
+	var ops int64
+	for kind, n := range r.distanceOps {
+		if n > 0 {
+			out["distance_"+distance.OpKind(kind).String()+"s"] += n
+			ops += n
+		}
+	}
+	if ops > 0 {
+		out["distance_movement"] += r.distanceMovement
+	}
+	if len(r.rounds) > 0 {
+		var msgs, bits int64
+		for _, x := range r.rounds {
+			msgs += x.messages
+			bits += x.bits
+		}
+		out["congest_messages"] += msgs
+		out["congest_bits"] += bits
+	}
+	if r.fleetIntra != 0 {
+		out["fleet_intra"] += r.fleetIntra
+	}
+	if r.fleetInter != 0 {
+		out["fleet_inter"] += r.fleetInter
 	}
 	return out
 }

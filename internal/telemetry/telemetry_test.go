@@ -30,13 +30,13 @@ func TestSSSPSeriesSumsToStats(t *testing.T) {
 	rec := NewRecorder()
 	r := mustSSSP(g, rec)
 
-	if got := rec.TotalSpikes(); got != r.Stats.Spikes {
+	if got := rec.StepSeries("spikes").Sum(); got != r.Stats.Spikes {
 		t.Fatalf("spike series sums to %d, stats say %d", got, r.Stats.Spikes)
 	}
-	if got := rec.TotalDeliveries(); got != r.Stats.Deliveries {
+	if got := rec.StepSeries("deliveries").Sum(); got != r.Stats.Deliveries {
 		t.Fatalf("delivery series sums to %d, stats say %d", got, r.Stats.Deliveries)
 	}
-	if got := int64(rec.StepCount()); got != r.Stats.Steps {
+	if got := int64(len(rec.StepSeries("spikes").Times)); got != r.Stats.Steps {
 		t.Fatalf("recorded %d steps, stats say %d", got, r.Stats.Steps)
 	}
 	// Fire-once network: total spikes == reached vertices.
