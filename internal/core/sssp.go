@@ -16,8 +16,10 @@
 // SSSP compiles its relay network once (BuildSSSP) and may run it many
 // times: an SSSPNetwork restores its freshly built state before every
 // Run after the first, so the load charge is paid once per graph while
-// each run equals a fresh build's. A network serves one Run at a time;
-// it is not safe for concurrent use.
+// each run equals a fresh build's. Recompile programs another graph into
+// a used network's buffers, equal to a fresh BuildSSSP, and Park drops
+// the graph and run scratch of a network kept idle between queries. A
+// network serves one Run at a time; it is not safe for concurrent use.
 //
 // All algorithms return unscaled distances that match their conventional
 // counterparts exactly (or within (1+ε) for the approximation), together
@@ -144,13 +146,39 @@ func BuildSSSP(g *graph.Graph) *SSSPNetwork {
 	return &SSSPNetwork{g: g, rn: newRelayNetwork(g)}
 }
 
+// Recompile compiles g into sn in place of its current graph, reusing
+// the buffers of its netlist: the relay builder clears sn's network and
+// runs as BuildSSSP runs it on a fresh one, so sn then equals
+// BuildSSSP(g) in its netlist and in every Run. A pool of compiled
+// networks recompiles an idle one for a graph it does not hold.
+func (sn *SSSPNetwork) Recompile(g *graph.Graph) {
+	sn.g = g
+	sn.rn.compile(g)
+	sn.ran = false
+}
+
+// Park drops what a loaded chip does not keep between queries: the
+// reference to the host graph and the event-queue scratch of the last
+// run (snn.Network.Trim). The compiled netlist stays and runs as before;
+// Graph returns nil until the next Recompile, so a caller that reads it
+// (the internal/faults runs) needs a network that is not parked.
+func (sn *SSSPNetwork) Park() {
+	sn.g = nil
+	sn.rn.net.Trim()
+}
+
+// MemoryBytes reports the bytes the compiled netlist occupies; see
+// snn.Network.MemoryBytes.
+func (sn *SSSPNetwork) MemoryBytes() int { return sn.rn.net.MemoryBytes() }
+
 // Neurons reports the size of the compiled network.
 func (sn *SSSPNetwork) Neurons() int { return sn.rn.net.N() }
 
 // Synapses reports the synapse count of the compiled network.
 func (sn *SSSPNetwork) Synapses() int { return sn.rn.net.Synapses() }
 
-// Graph returns the graph the network was compiled from.
+// Graph returns the graph the network was compiled from, or nil once
+// the network is parked.
 func (sn *SSSPNetwork) Graph() *graph.Graph { return sn.g }
 
 // Run simulates the compiled network from src, halting when dst first
@@ -175,8 +203,8 @@ func (sn *SSSPNetwork) RunBudgeted(src, dst int, inj snn.Injector, horizonSlack,
 // run is the single simulation path shared by SSSP, SSSPInjected,
 // SSSPBudgeted, and SSSPNetwork.Run.
 func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget int64, probe ...snn.StepProbe) (*SSSPResult, error) {
-	g := sn.g
-	n := g.N()
+	net := sn.rn.net
+	n := net.N()
 	if src < 0 || src >= n {
 		panic(fmt.Sprintf("core: source %d out of range [0,%d)", src, n))
 	}
@@ -187,7 +215,6 @@ func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget 
 		panic(fmt.Sprintf("core: negative horizon slack %d", horizonSlack))
 	}
 
-	net := sn.rn.net
 	if sn.ran {
 		// Restore the freshly built state: Reset keeps the terminal,
 		// injector and probes, so drop the previous run's too.
@@ -229,7 +256,7 @@ func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget 
 	res := &SSSPResult{
 		Dist:     make([]int64, n),
 		Pred:     make([]int, n),
-		LoadTime: int64(g.M() + n),
+		LoadTime: int64(net.Synapses()), // m+n: a self-loop per relay, a synapse per edge
 		Neurons:  net.N(),
 		Synapses: net.Synapses(),
 		Stats:    r.Stats,
@@ -335,8 +362,18 @@ func attachProbes(net *snn.Network, probes []snn.StepProbe) {
 }
 
 func newRelayNetwork(g *graph.Graph) *relayNetwork {
+	rn := &relayNetwork{net: snn.NewNetwork(snn.Config{Rule: snn.FireGTE})}
+	rn.compile(g)
+	return rn
+}
+
+// compile clears rn's network and programs g's relay network into it.
+// It is the one relay builder: newRelayNetwork runs it on a fresh
+// network and SSSPNetwork.Recompile on a used one.
+func (rn *relayNetwork) compile(g *graph.Graph) {
 	n := g.N()
-	net := snn.NewNetwork(snn.Config{Rule: snn.FireGTE})
+	net := rn.net
+	net.Clear()
 	net.Grow(n, n+g.M())
 	// Relay ids equal vertex ids, so the synapses below are wired by
 	// vertex id; the lazy labeler costs nothing unless a provenance log
@@ -365,5 +402,5 @@ func newRelayNetwork(g *graph.Graph) *relayNetwork {
 		maxLen = max(maxLen, e.Len)
 		net.Place(e.From, e.To, 1, e.Len)
 	}
-	return &relayNetwork{net: net, horizon: relayHorizon(n, maxLen)}
+	rn.horizon = relayHorizon(n, maxLen)
 }

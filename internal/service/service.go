@@ -7,14 +7,18 @@
 // degradation ladder that composes the fault-tolerance primitives —
 // exact spiking run → faults.NMR voting → faults.SelfCheck → classic
 // reference → core.ApproxKHop-style truncated answer — tagging every
-// response with the rung that served it. A query compiles its relay
-// netlist at most once: the exact rung builds and runs it, and the fault
-// rungs build it on first use and re-run it for every NMR replica, vote
-// retry and self-check attempt (a compiled network is re-runnable but
-// not shared between queries). Every admission, shed, retry, breaker
-// transition and degradation is exported through the spaa_service_*
-// metric families, and every timing decision flows through a Clock, so a
-// LogicalClock makes whole campaigns byte-reproducible (see chaos.go).
+// response with the rung that served it. The exact rung takes its relay
+// netlist from a pool of at most Workers compiled networks keyed by the
+// query's graph (pool.go): a query on a pooled graph neither generates
+// nor compiles it, and a miss recompiles the least recently returned
+// netlist in place. The fault rungs compile the query's graph once, on
+// first use, and re-run that network for every NMR replica, vote retry
+// and self-check attempt. Only the rungs that read the graph itself
+// generate it: the classic bypass, the approx rung, the fault rungs and
+// k-hop. Every admission, shed, retry, breaker transition and
+// degradation is exported through the spaa_service_* metric families,
+// and every timing decision flows through a Clock, so a LogicalClock
+// makes whole campaigns byte-reproducible (see chaos.go).
 package service
 
 import (
@@ -189,6 +193,7 @@ type Service struct {
 
 	slots   chan struct{}
 	waiting atomic.Int64
+	pool    *netPool // the exact rung's compiled netlists
 
 	mu       sync.Mutex
 	breakers map[string]*Breaker // guarded by mu
@@ -204,6 +209,7 @@ func New(reg *metrics.Registry, cfg Config) *Service {
 		reg:      reg,
 		quotas:   newQuotas(cfg.QuotaTokens, cfg.QuotaRefillMilli),
 		slots:    make(chan struct{}, cfg.Workers),
+		pool:     newNetPool(cfg.Workers),
 		breakers: make(map[string]*Breaker),
 	}
 	// Materialize the families so a scrape shows them at zero before the
@@ -399,17 +405,17 @@ func (s *Service) execute(q Query, now int64, qt *trace.Active) *Response {
 		metrics.Label{Key: "workload", Value: q.Workload}).Inc()
 	resp := &Response{Status: 200, Workload: q.Workload, Tenant: q.Tenant}
 	br := s.breaker(q.Workload)
-	g := buildGraph(q)
+	qg := &queryGraph{q: q}
 	before := br.State()
 	if br.Allow(now) {
-		s.ladder(q, g, resp, qt)
+		s.ladder(q, qg, resp, qt)
 		br.Record(now, engineServed(resp.Mode))
 	} else {
 		// Breaker open: bypass the engine entirely and serve the classic
 		// host-side reference — correct, just not neuromorphic.
 		qt.Event(trace.StageBreaker, "open_bypass")
 		rref := qt.Begin(trace.StageRung, ModeClassic)
-		s.classicRung(q, g, resp)
+		s.classicRung(q, qg.get(), resp)
 		qt.End(rref, resp.CostUnits)
 	}
 	if after := br.State(); after != before {

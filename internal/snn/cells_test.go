@@ -38,7 +38,7 @@ func TestSynapseAndBucketSize(t *testing.T) {
 // row), OutSynapses, the netlist round trip and DenseRun see the true
 // delays, and Run delivers at them.
 func TestLongDelays(t *testing.T) {
-	delays := []int64{longBase - 1, longBase, longBase + 1, math.MaxInt32, math.MaxInt32 + 1, 1<<62 + 3, 1<<62 + 3, 7, longBase}
+	delays := []int64{longBase - 1, longBase, longBase + 1, math.MaxInt32, math.MaxInt32 + 1, MaxDelay, MaxDelay, 7, longBase}
 	var want []SynapseInfo
 	for i, d := range delays {
 		want = append(want, SynapseInfo{To: 2 + i, Weight: 1, Delay: d})
@@ -107,8 +107,8 @@ func TestLongDelays(t *testing.T) {
 		if err := WriteNetlist(&text, net); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(text.String(), " 4611686018427387907\n") {
-			t.Fatalf("%s: netlist lacks the 2^62+3 delay:\n%s", b.name, text.String())
+		if !strings.Contains(text.String(), " 2305843009213693951\n") {
+			t.Fatalf("%s: netlist lacks the 2^61-1 delay:\n%s", b.name, text.String())
 		}
 		back, err := ReadNetlist(bytes.NewReader(text.Bytes()))
 		if err != nil {
@@ -380,5 +380,86 @@ func TestSizedRowsMisuse(t *testing.T) {
 			}()
 			c.f()
 		})
+	}
+}
+
+// buildMixed programs a random network into net: integrator neurons in
+// runs of two thresholds, forward synapses in and out of source order with
+// delays from 1 to past the ring cap and past longBase, and a terminal.
+// Its largest delay, and so its ring, varies with seed.
+func buildMixed(net *Network, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	nn := 2 + r.Intn(12)
+	for i := 0; i < nn; i++ {
+		net.AddNeuron(Integrator(float64(1 + r.Intn(2))))
+	}
+	for k := r.Intn(2 * nn); k > 0; k-- {
+		d := 1 + r.Int63n(int64(1)<<r.Intn(19))
+		if r.Intn(8) == 0 {
+			d = longBase + r.Int63n(3)
+		}
+		// Forward synapses only, so activity dies out.
+		if from, to := r.Intn(nn), r.Intn(nn); from != to {
+			net.Connect(min(from, to), max(from, to), float64(r.Intn(3)), d)
+		}
+	}
+	net.SetTerminal(r.Intn(nn))
+}
+
+// sameNetwork fails unless got and want write the same netlist, occupy
+// the same MemoryBytes and run to the same result and spike trains.
+func sameNetwork(t *testing.T, name string, got, want *Network) {
+	t.Helper()
+	var a, b bytes.Buffer
+	if err := WriteNetlist(&a, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteNetlist(&b, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("%s: netlist\n%s\nwant\n%s", name, a.String(), b.String())
+	}
+	if g, w := got.MemoryBytes(), want.MemoryBytes(); g != w {
+		t.Fatalf("%s: MemoryBytes %d, want %d", name, g, w)
+	}
+	if g, w := got.Run(1<<40), want.Run(1<<40); g != w {
+		t.Fatalf("%s: run %+v, want %+v", name, g, w)
+	}
+	for i := 0; i < want.N(); i++ {
+		if !slices.Equal(got.Spikes(i), want.Spikes(i)) {
+			t.Fatalf("%s: neuron %d fired %v, want %v", name, i, got.Spikes(i), want.Spikes(i))
+		}
+	}
+}
+
+// TestClearBuildsFresh: a network cleared after a run and programmed
+// with another topology equals one built fresh, including MemoryBytes,
+// which a long-delay table or a ring left over from the first topology
+// would inflate. A trimmed network re-runs as a fresh one, holding no
+// queue buckets in between.
+func TestClearBuildsFresh(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		used := NewNetwork(Config{Record: true})
+		buildMixed(used, seed)
+		used.InduceSpike(0, 0)
+		used.Run(1 << 40)
+		used.Clear()
+		buildMixed(used, seed+1000)
+		used.InduceSpike(0, 1)
+		fresh := NewNetwork(Config{Record: true})
+		buildMixed(fresh, seed+1000)
+		fresh.InduceSpike(0, 1)
+		sameNetwork(t, fmt.Sprintf("seed %d cleared", seed), used, fresh)
+
+		used.Trim()
+		if used.buckets != nil || used.slab != nil || used.ring != nil {
+			t.Fatalf("seed %d: Trim kept %d buckets, %d slab, %d ring slots", seed, len(used.buckets), len(used.slab), len(used.ring))
+		}
+		again := NewNetwork(Config{Record: true})
+		buildMixed(again, seed+1000)
+		used.InduceSpike(0, 0)
+		again.InduceSpike(0, 0)
+		sameNetwork(t, fmt.Sprintf("seed %d trimmed", seed), used, again)
 	}
 }

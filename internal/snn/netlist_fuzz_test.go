@@ -33,6 +33,12 @@ func FuzzNetlistRoundTrip(f *testing.F) {
 	// Delays at the edge of the long-delay side table, out of source order.
 	f.Add([]byte("snn v1 gte 0\nneurons 2\n0 1 1\n0 1 1\nsynapses 5\n1 0 1 1073741824\n0 1 1 1073741823\n" +
 		"0 1 -1 2147483647\n0 0 2 4611686018427387907\n1 1 1 1073741825\ninduced 1\n0 0\nterminals 0 any\n"))
+	// Delays at MaxDelay (accepted) and near math.MaxInt64 (rejected as
+	// delay-max: t+d would overflow).
+	f.Add([]byte("snn v1 gte 1\nneurons 2\n0 1 1\n0 1 1\nsynapses 2\n0 1 1 2305843009213693951\n" +
+		"1 0 1 2305843009213693951\ninduced 1\n5 0\nterminals 0 any\n"))
+	f.Add([]byte("snn v1 gte 1\nneurons 2\n0 1 1\n0 1 1\nsynapses 1\n0 1 1 9223372036854775806\n" +
+		"induced 1\n5 0\nterminals 1 any\n1\n"))
 	f.Add([]byte("snn v1 gte 0\nneurons 2\n0 1 1\n0 NaN 2\nsynapses 1\n5 -1 Inf -9\ninduced 1\n-1 7\nterminals 1 any\n3\n"))
 	f.Add([]byte("# comment\n\nsnn v2 bogus\n"))
 	f.Add([]byte(""))

@@ -38,7 +38,7 @@ func fuzzNetwork(seed int64, rule FireRule, extra bool) (*Network, []stagedSynap
 			w := float64(r.Intn(7)) - 3
 			d := int64(r.Intn(300) + 1)
 			if r.Intn(32) == 0 {
-				d = []int64{longBase - 1, longBase, longBase + 1, math.MaxInt32, 1<<62 + int64(r.Intn(1024))}[r.Intn(5)]
+				d = []int64{longBase - 1, longBase, longBase + 1, math.MaxInt32, MaxDelay - int64(r.Intn(1024))}[r.Intn(5)]
 			}
 			s := stagedSynapse{from: int32(r.Intn(nn)), to: int32(r.Intn(nn)), weight: w, delay: d}
 			net.Connect(int(s.from), int(s.to), s.weight, s.delay)

@@ -70,12 +70,15 @@
 // capacity from a shared slab and a full one doubles, so a fresh run
 // allocates a few dozen times, not once per bucket; a warm network re-run
 // after Reset allocates nothing unless Config.Record keeps spike trains.
+// Trim frees that queue, and Clear empties the topology too, keeping the
+// topology buffers for the next one built in their place.
 package snn
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // FireRule selects the threshold comparison.
@@ -125,6 +128,13 @@ type synapse struct {
 	delay  int32
 	weight float64
 }
+
+// MaxDelay is the largest programmable synaptic delay, 2^61-1: the
+// graph.Inf of the graph builders, so every delay they program fits. A
+// spike at a time below 2^62 then schedules its delivery without
+// overflowing time, which a delay near 2^63 would. Connect and Place
+// panic on a longer delay, and Validate reports one as delay-max.
+const MaxDelay = 1<<61 - 1
 
 // longBase is the least delay kept in the Network.long side table: the
 // graph.Inf drops of a crossbar and huge netlist delays. The reference
@@ -413,13 +423,16 @@ func (n *Network) Connect(from, to int, weight float64, delay int64) {
 }
 
 // checkSynapse panics on a synapse no network may hold: an endpoint out
-// of range, a delay below 1, or a NaN weight.
+// of range, a delay below 1 or above MaxDelay, or a NaN weight.
 func (n *Network) checkSynapse(from, to int, weight float64, delay int64) {
 	if from < 0 || from >= len(n.cells) || to < 0 || to >= len(n.cells) {
 		panic(fmt.Sprintf("snn: synapse (%d,%d) out of range [0,%d)", from, to, len(n.cells)))
 	}
 	if delay < 1 {
 		panic(fmt.Sprintf("snn: delay %d < minimum programmable delay 1", delay))
+	}
+	if delay > MaxDelay {
+		panic(fmt.Sprintf("snn: delay %d > maximum programmable delay %d", delay, int64(MaxDelay)))
 	}
 	if math.IsNaN(weight) {
 		panic("snn: NaN synapse weight")
@@ -451,7 +464,7 @@ func (n *Network) SizeRows(count func(i int) int) {
 	// for the overfill check until the last slot is placed.
 	nn := len(n.cells)
 	n.off = slices.Grow(n.off, nn+1)[:nn+1]
-	n.ends = make([]int32, nn)
+	n.ends = slices.Grow(n.ends[:0], nn)[:nn]
 	n.off[0] = 0
 	var sum int64
 	for i := 0; i < nn; i++ {
@@ -468,7 +481,7 @@ func (n *Network) SizeRows(count func(i int) int) {
 	n.syn = slices.Grow(n.syn, int(sum))[:sum]
 	n.open = int(sum)
 	if n.open == 0 {
-		n.ends = nil
+		n.ends = n.ends[:0]
 	}
 }
 
@@ -478,7 +491,7 @@ func (n *Network) SizeRows(count func(i int) int) {
 func (n *Network) Place(from, to int, weight float64, delay int64) {
 	// One branch covers Connect's checks, an open row for from and room
 	// in it; badPlace works out which failed.
-	if uint(from) >= uint(len(n.ends)) || uint(to) >= uint(len(n.cells)) || delay < 1 || math.IsNaN(weight) ||
+	if uint(from) >= uint(len(n.ends)) || uint(to) >= uint(len(n.cells)) || uint64(delay-1) >= MaxDelay || math.IsNaN(weight) ||
 		n.off[from+1] >= n.ends[from] {
 		n.badPlace(from, to, weight, delay)
 	}
@@ -487,7 +500,7 @@ func (n *Network) Place(from, to int, weight float64, delay int64) {
 	n.off[from+1] = k + 1
 	n.noteDelay(delay)
 	if n.open--; n.open == 0 {
-		n.ends = nil
+		n.ends = n.ends[:0] // kept for the next SizeRows after Clear
 	}
 }
 
@@ -909,6 +922,60 @@ func (n *Network) Now() int64 { return n.now }
 
 // TotalStats returns the accumulated cost counters.
 func (n *Network) TotalStats() Stats { return n.stats }
+
+// Clear removes every neuron and synapse and everything Reset clears or
+// keeps, leaving the network as NewNetwork with the same Config returns
+// it, but with the capacity of its neuron, parameter, CSR, long-delay
+// and row-size buffers kept: a builder that compiles another topology
+// into a cleared network reuses them, and builds what it would build in
+// a fresh one. The event queue is dropped, as Trim drops it.
+func (n *Network) Clear() {
+	clear(n.spikeLog)
+	clear(n.far)
+	*n = Network{
+		cfg:      n.cfg,
+		cells:    n.cells[:0],
+		params:   n.params[:0],
+		off:      n.off[:0],
+		syn:      n.syn[:0],
+		long:     n.long[:0],
+		staged:   n.staged[:0],
+		ends:     n.ends[:0],
+		spikeLog: n.spikeLog[:0],
+		far:      n.far,
+		lastStep: -1,
+	}
+}
+
+// Trim resets the network (see Reset) and frees what its runs allocated:
+// the pooled queue buckets and their slab, the event ring and its
+// bitmaps, and the per-step scratch. The topology stays, so a trimmed
+// network holds what a freshly built one holds, and its next Run
+// allocates its queue again as a fresh network's first Run does. A pool
+// of idle compiled networks trims each one: it keeps the loaded netlist,
+// not the scratch of the last run.
+func (n *Network) Trim() {
+	n.Reset()
+	n.buckets, n.forced, n.delays, n.free, n.slab = nil, nil, nil, nil, nil
+	n.ring, n.occ, n.summary = nil, nil, nil
+	n.times, n.touched, n.fired = nil, nil, nil
+	n.ants, n.antTargets = nil, nil
+}
+
+// MemoryBytes returns the bytes the compiled network occupies: its
+// neuron cells and parameter table, its CSR offsets and synapses, the
+// long-delay side table, and the event ring with its occupancy bitmaps,
+// which the largest delay sizes. This is the synapse memory a
+// neuromorphic core budgets. It counts lengths, not capacities, so two
+// networks with the same topology report the same figure whatever
+// buffers they were built in.
+func (n *Network) MemoryBytes() int {
+	n.compact()
+	return len(n.cells)*int(unsafe.Sizeof(cell{})) +
+		len(n.params)*int(unsafe.Sizeof(Neuron{})) +
+		len(n.off)*4 + len(n.syn)*int(unsafe.Sizeof(synapse{})) + len(n.long)*8 +
+		len(n.ring)*4 + (len(n.occ)+len(n.summary))*8
+}
 
 // Reset clears all dynamic state (voltages, pending events and induced
 // inputs, spike history, statistics, simulation time) while keeping

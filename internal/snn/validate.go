@@ -10,9 +10,9 @@ import (
 // Validate enforces the Definition 1-2 invariants of Aimone et al. — every
 // programmable parameter finite, decay τ ∈ [0,1], reset strictly below
 // threshold (so the event-driven engine's silence invariant holds), every
-// synapse delay >= the hardware minimum δ = 1, and every synapse endpoint,
-// induced spike, and terminal referring to a real neuron — plus
-// liveness warnings (a terminal that can never fire makes Run unable to
+// synapse delay between the hardware minimum δ = 1 and MaxDelay, and
+// every synapse endpoint, induced spike, and terminal referring to a real
+// neuron — plus liveness warnings (a terminal that can never fire makes Run unable to
 // halt by terminal). ReadNetlist runs these checks on every parsed
 // netlist; `spaabench validate` exposes them on the command line; and the
 // compile-time half of the same story is cmd/spaavet.
@@ -40,7 +40,7 @@ func (s Severity) String() string {
 type Violation struct {
 	Severity Severity
 	// Kind is a stable machine-readable category: "nonfinite",
-	// "decay-range", "self-fire", "delay-min", "endpoint",
+	// "decay-range", "self-fire", "delay-min", "delay-max", "endpoint",
 	// "induced-range", "induced-time", "terminal-range",
 	// "terminal-unreachable".
 	Kind string
@@ -168,6 +168,9 @@ func validateSpec(s *netSpec) []Violation {
 		}
 		if syn.Delay < 1 {
 			bad("delay-min", k, "synapse %d delay %d below the minimum programmable delay δ = 1", k, syn.Delay)
+		}
+		if syn.Delay > MaxDelay {
+			bad("delay-max", k, "synapse %d delay %d above the maximum programmable delay %d", k, syn.Delay, int64(MaxDelay))
 		}
 	}
 

@@ -1,7 +1,9 @@
 package snn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -186,5 +188,60 @@ func TestLintNetlistCleanRoundTrip(t *testing.T) {
 	}
 	if info.Neurons != 2 || info.Synapses != 1 || info.Induced != 1 || info.Terminals != 1 {
 		t.Fatalf("bad summary %+v", info)
+	}
+}
+
+// TestDelayMax: a delay past MaxDelay overflows the delivery time. With
+// no upper bound, Connect(a, b, 1, math.MaxInt64), InduceSpike(a, 5) and
+// Run(math.MaxInt64) went quiescent after 2 steps with Now and b's train
+// at -9223372036854775804. Now Connect and Place refuse such a delay,
+// Validate reports it as delay-max, ReadNetlist rejects a netlist that
+// carries it, and MaxDelay itself still runs to its true time.
+func TestDelayMax(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "maximum programmable delay") {
+				t.Fatalf("%s: panic %v, want the maximum-delay message", name, r)
+			}
+		}()
+		f()
+	}
+	net := NewNetwork(Config{Record: true})
+	a, b := net.AddNeuron(Gate(1)), net.AddNeuron(Gate(1))
+	mustPanic("Connect", func() { net.Connect(a, b, 1, math.MaxInt64) })
+	mustPanic("Connect", func() { net.Connect(a, b, 1, MaxDelay+1) })
+	mustPanic("Place", func() { sizedNet(1).Place(0, 1, 1, MaxDelay+1) })
+	if net.Synapses() != 0 {
+		t.Fatalf("a refused Connect left %d synapses", net.Synapses())
+	}
+
+	net.Connect(a, b, 1, MaxDelay)
+	net.InduceSpike(a, 5)
+	res := net.Run(math.MaxInt64)
+	if want := int64(5 + MaxDelay); !res.Quiescent || res.Now != want || res.Stats.Steps != 2 ||
+		!slices.Equal(net.Spikes(b), []int64{want}) {
+		t.Fatalf("MaxDelay run: %+v, b fired %v; want quiescent at %d after 2 steps", res, net.Spikes(b), want)
+	}
+
+	corrupt := validNet()
+	corrupt.Connect(1, 0, 1, MaxDelay) // one long-table entry
+	corrupt.compact()
+	corrupt.long[0] = math.MaxInt64
+	if vs := Validate(corrupt); kinds(vs)["delay-max"] != 1 {
+		t.Fatalf("Validate on a math.MaxInt64 delay: %v, want one delay-max", vs)
+	}
+
+	for _, d := range []string{"9223372036854775807", "2305843009213693952"} {
+		src := netlist([]string{"0 1 1", "0 1 1"}, []string{"0 1 1 " + d})
+		if _, err := ReadNetlist(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "maximum programmable delay") {
+			t.Fatalf("ReadNetlist with delay %s: %v, want a maximum-delay error", d, err)
+		}
+		if _, vs, err := LintNetlist(strings.NewReader(src)); err != nil || kinds(vs)["delay-max"] != 1 {
+			t.Fatalf("LintNetlist with delay %s: %v %v, want one delay-max", d, vs, err)
+		}
+	}
+	if _, err := ReadNetlist(strings.NewReader(netlist([]string{"0 1 1", "0 1 1"}, []string{"0 1 1 2305843009213693951"}))); err != nil {
+		t.Fatalf("ReadNetlist with delay MaxDelay: %v", err)
 	}
 }
