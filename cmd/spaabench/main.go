@@ -462,7 +462,11 @@ func cmdRaster(args []string) error {
 		return err
 	}
 	g := graph.RandomGnm(*n, *m, graph.Uniform(*u), *seed, true)
-	fmt.Print(harness.SSSPRaster(g, *src))
+	out, err := harness.SSSPRaster(g, *src)
+	if err != nil {
+		return err
+	}
+	fmt.Print(out)
 	return nil
 }
 
@@ -489,7 +493,10 @@ func cmdTimeline(args []string) error {
 	g := graph.RandomGnm(*n, *m, graph.Uniform(*u), *seed, true)
 	o.setGraph(g, *seed, "random")
 	o.Man.SetConfig("src", *src)
-	out, rec := harness.SSSPTimeline(g, *src)
+	out, rec, err := harness.SSSPTimeline(g, *src)
+	if err != nil {
+		return err
+	}
 	fmt.Print(out)
 	// SSSPTimeline owns the probe for its run; adopt its recorder so
 	// -metrics / -trace export the same series the sparklines show.

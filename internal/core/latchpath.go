@@ -100,7 +100,7 @@ func SSSPWithLatches(g *graph.Graph, src int) *LatchSSSP {
 	}
 
 	net.InduceSpike(relay[src], 0)
-	net.Run(ssspHorizon(g) + 2) // +2 for the gate/store tail
+	net.Run(RelayHorizon(g.N(), g.MaxLen()) + 2) // +2 for the gate/store tail
 
 	res := &LatchSSSP{
 		Dist:     make([]int64, n),

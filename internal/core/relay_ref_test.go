@@ -31,7 +31,7 @@ func refRelayNetwork(g *graph.Graph) *relayNetwork {
 			net.Connect(v, e.To, 1, e.Len)
 		}
 	}
-	return &relayNetwork{net: net, horizon: ssspHorizon(g)}
+	return &relayNetwork{net: net, horizon: RelayHorizon(g.N(), g.MaxLen())}
 }
 
 // checkAgainstReference fails unless BuildSSSP(g) equals the reference
@@ -39,7 +39,7 @@ func refRelayNetwork(g *graph.Graph) *relayNetwork {
 // Dist, Pred, Stats and every other result field.
 func checkAgainstReference(t *testing.T, g *graph.Graph, src, dst int) {
 	t.Helper()
-	got, ref := BuildSSSP(g), &SSSPNetwork{g: g, rn: refRelayNetwork(g)}
+	got, ref := BuildSSSP(g), &SSSPNetwork{rn: refRelayNetwork(g)}
 	if got.rn.horizon != ref.rn.horizon {
 		t.Fatalf("%v: horizon %d, reference %d", g, got.rn.horizon, ref.rn.horizon)
 	}

@@ -18,8 +18,10 @@
 // Run after the first, so the load charge is paid once per graph while
 // each run equals a fresh build's. Recompile programs another graph into
 // a used network's buffers, equal to a fresh BuildSSSP, and Park drops
-// the graph and run scratch of a network kept idle between queries. A
-// network serves one Run at a time; it is not safe for concurrent use.
+// the run scratch of a network kept idle between queries. A compiled
+// network keeps no reference to its graph, as a loaded chip keeps only
+// its programmed synapses. A network serves one Run at a time; it is not
+// safe for concurrent use.
 //
 // All algorithms return unscaled distances that match their conventional
 // counterparts exactly (or within (1+ε) for the approximation), together
@@ -53,11 +55,12 @@ type SSSPResult struct {
 	// Neurons and Synapses describe the constructed network.
 	Neurons, Synapses int
 	// TimedOut is true when the simulation exhausted its horizon with
-	// events still pending (possible only under fault injection, which
-	// can jitter deliveries past the analytic n·U bound): distances of
-	// vertices that had not yet spiked are unreliable, not proofs of
-	// unreachability. Fault-free runs never time out — the horizon
-	// dominates every finite first-spike time.
+	// events still pending (possible only under a step budget or fault
+	// injection, which can jitter deliveries past the analytic n·U
+	// bound): distances of vertices that had not yet spiked are
+	// unreliable, not proofs of unreachability. Unbudgeted fault-free runs
+	// never time out — the horizon dominates every finite first-spike
+	// time.
 	TimedOut bool
 	// Stats carries spike/delivery/step counts from the simulator.
 	Stats snn.Stats
@@ -93,31 +96,7 @@ var ErrTimedOut = errors.New("core: simulation horizon exhausted before the term
 // time — so callers on the pristine path may treat the error as an
 // internal invariant violation.
 func SSSP(g *graph.Graph, src, dst int, probe ...snn.StepProbe) (*SSSPResult, error) {
-	return SSSPInjected(g, src, dst, nil, 0, probe...)
-}
-
-// SSSPInjected runs the Section 3 spiking SSSP with an optional hardware
-// fault injector attached to the simulator (internal/faults builds the
-// standard one) and the simulation horizon extended by horizonSlack
-// steps. Delay jitter makes deliveries arrive later than the analytic
-// n·U bound, so fault campaigns pass a slack of n·maxJitter; everything
-// else matches SSSP, and SSSPInjected(g, src, dst, nil, 0) is exactly the
-// fault-free run.
-func SSSPInjected(g *graph.Graph, src, dst int, inj snn.Injector, horizonSlack int64, probe ...snn.StepProbe) (*SSSPResult, error) {
-	return BuildSSSP(g).run(src, dst, inj, horizonSlack, 0, probe...)
-}
-
-// SSSPBudgeted runs the Section 3 spiking SSSP under a per-query deadline:
-// the simulation halts after budget simulated steps even if the wavefront
-// has not finished, so a slow query is cancelled rather than abandoned.
-// A run cut short by the budget reports TimedOut (and ErrTimedOut when a
-// destination was requested but never fired); distances latched before the
-// deadline are exact, later vertices read graph.Inf and are unreliable —
-// the partial answer a deadline-propagating service must label degraded.
-// budget <= 0 means no cap, reproducing SSSPInjected exactly; the slack
-// and injector arguments match SSSPInjected.
-func SSSPBudgeted(g *graph.Graph, src, dst int, inj snn.Injector, horizonSlack, budget int64, probe ...snn.StepProbe) (*SSSPResult, error) {
-	return BuildSSSP(g).run(src, dst, inj, horizonSlack, budget, probe...)
+	return BuildSSSP(g).run(src, dst, nil, 0, 0, probe...)
 }
 
 // SSSPNetwork is a compiled Section 3 netlist: the relay network built
@@ -133,7 +112,6 @@ func SSSPBudgeted(g *graph.Graph, src, dst int, inj snn.Injector, horizonSlack, 
 // internal/faults. Runs mutate the network: it serves one Run at a time
 // and is not safe for concurrent use.
 type SSSPNetwork struct {
-	g   *graph.Graph
 	rn  *relayNetwork
 	ran bool // a previous run left dynamic state behind
 }
@@ -143,7 +121,7 @@ type SSSPNetwork struct {
 // All edge lengths must be >= 1 (the minimum programmable delay δ;
 // rescale zero-length edges first).
 func BuildSSSP(g *graph.Graph) *SSSPNetwork {
-	return &SSSPNetwork{g: g, rn: newRelayNetwork(g)}
+	return &SSSPNetwork{rn: newRelayNetwork(g)}
 }
 
 // Recompile compiles g into sn in place of its current graph, reusing
@@ -152,20 +130,14 @@ func BuildSSSP(g *graph.Graph) *SSSPNetwork {
 // BuildSSSP(g) in its netlist and in every Run. A pool of compiled
 // networks recompiles an idle one for a graph it does not hold.
 func (sn *SSSPNetwork) Recompile(g *graph.Graph) {
-	sn.g = g
 	sn.rn.compile(g)
 	sn.ran = false
 }
 
-// Park drops what a loaded chip does not keep between queries: the
-// reference to the host graph and the event-queue scratch of the last
-// run (snn.Network.Trim). The compiled netlist stays and runs as before;
-// Graph returns nil until the next Recompile, so a caller that reads it
-// (the internal/faults runs) needs a network that is not parked.
-func (sn *SSSPNetwork) Park() {
-	sn.g = nil
-	sn.rn.net.Trim()
-}
+// Park drops what a loaded chip does not keep between queries, the
+// event-queue scratch of the last run (snn.Network.Trim). The compiled
+// netlist stays and runs as before.
+func (sn *SSSPNetwork) Park() { sn.rn.net.Trim() }
 
 // MemoryBytes reports the bytes the compiled netlist occupies; see
 // snn.Network.MemoryBytes.
@@ -177,10 +149,6 @@ func (sn *SSSPNetwork) Neurons() int { return sn.rn.net.N() }
 // Synapses reports the synapse count of the compiled network.
 func (sn *SSSPNetwork) Synapses() int { return sn.rn.net.Synapses() }
 
-// Graph returns the graph the network was compiled from, or nil once
-// the network is parked.
-func (sn *SSSPNetwork) Graph() *graph.Graph { return sn.g }
-
 // Run simulates the compiled network from src, halting when dst first
 // spikes (dst = -1 computes all distances). Semantics, probe handling,
 // and the returned error match SSSP exactly, on the first Run and on
@@ -190,18 +158,20 @@ func (sn *SSSPNetwork) Run(src, dst int, probe ...snn.StepProbe) (*SSSPResult, e
 }
 
 // RunBudgeted is Run under a per-query deadline: the simulation halts
-// after budget simulated steps (budget <= 0 means no cap), matching
-// SSSPBudgeted's semantics on an explicitly built network. Exposing the
-// budgeted run on SSSPNetwork lets callers that need the build/run
-// phase boundary — the service's per-query trace spans, the perf
-// harness — time netlist construction and simulation separately while
-// keeping deadline propagation.
+// after budget simulated steps (budget <= 0 means no cap), with the
+// optional hardware fault injector inj attached (internal/faults builds
+// the standard one) and the horizon extended by horizonSlack steps, since
+// delay jitter makes deliveries arrive later than the analytic n·U bound.
+// A run cut short by the budget reports TimedOut (and ErrTimedOut when a
+// destination was requested but never fired); distances latched before
+// the deadline are exact, later vertices read graph.Inf and are
+// unreliable. RunBudgeted(src, dst, nil, 0, 0) is exactly Run.
 func (sn *SSSPNetwork) RunBudgeted(src, dst int, inj snn.Injector, horizonSlack, budget int64, probe ...snn.StepProbe) (*SSSPResult, error) {
 	return sn.run(src, dst, inj, horizonSlack, budget, probe...)
 }
 
-// run is the single simulation path shared by SSSP, SSSPInjected,
-// SSSPBudgeted, and SSSPNetwork.Run.
+// run is the single simulation path shared by SSSP, SSSPNetwork.Run and
+// SSSPNetwork.RunBudgeted.
 func (sn *SSSPNetwork) run(src, dst int, inj snn.Injector, horizonSlack, budget int64, probe ...snn.StepProbe) (*SSSPResult, error) {
 	net := sn.rn.net
 	n := net.N()
@@ -314,16 +284,12 @@ func maxInt64(a, b int64) int64 {
 	return b
 }
 
-// ssspHorizon bounds the simulation of a graph's relay network; see
-// relayHorizon.
-func ssspHorizon(g *graph.Graph) int64 { return relayHorizon(g.N(), g.MaxLen()) }
-
-// relayHorizon bounds the simulation: every finite first-spike time on n
+// RelayHorizon bounds the simulation: every finite first-spike time on n
 // vertices with longest edge maxLen is at most n·U, but graphs may carry
 // graph.Inf "disabled" delays (the crossbar embedder uses them), so the
 // horizon saturates at graph.Inf-1: any event scheduled through a
 // disabled edge lands at or beyond graph.Inf and is never processed.
-func relayHorizon(n int, maxLen int64) int64 {
+func RelayHorizon(n int, maxLen int64) int64 {
 	u := maxInt64(maxLen, 1)
 	nn := int64(n)
 	if u >= graph.Inf/(nn+1) {
@@ -335,7 +301,7 @@ func relayHorizon(n int, maxLen int64) int64 {
 // relayNetwork is the Section 3 construction: one fire-once relay neuron
 // per vertex, one delay-coded synapse per edge. Relay ids equal vertex
 // ids, so callers address a vertex's relay by the vertex itself. horizon
-// is relayHorizon of the graph as built.
+// is RelayHorizon of the graph as built.
 type relayNetwork struct {
 	net     *snn.Network
 	horizon int64
@@ -402,5 +368,5 @@ func (rn *relayNetwork) compile(g *graph.Graph) {
 		maxLen = max(maxLen, e.Len)
 		net.Place(e.From, e.To, 1, e.Len)
 	}
-	rn.horizon = relayHorizon(n, maxLen)
+	rn.horizon = RelayHorizon(n, maxLen)
 }

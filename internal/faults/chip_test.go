@@ -59,7 +59,7 @@ func TestChipFaultsDeadChipSilencesResidents(t *testing.T) {
 			cf.Dead = append(cf.Dead, c)
 		}
 	}
-	res, err := core.SSSPInjected(g, 0, -1, cf, 0)
+	res, err := core.BuildSSSP(g).RunBudgeted(0, -1, cf, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestChipFaultsSeveredLinkDropsOnlyCrossTraffic(t *testing.T) {
 		sevSet:     map[[2]int]bool{{0, 1}: true},
 		Severed:    [][2]int{{0, 1}},
 	}
-	res, err := core.SSSPInjected(g, 0, -1, cf, 0)
+	res, err := core.BuildSSSP(g).RunBudgeted(0, -1, cf, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package faults_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/harness"
@@ -113,8 +114,8 @@ func FuzzInjectorDeterminism(f *testing.F) {
 			UpsetMag:   0.5,
 			Seed:       seed,
 		}
-		a := faults.RunSSSP(g, 0, -1, model)
-		b := faults.RunSSSP(g, 0, -1, model)
+		a := faults.Run(core.BuildSSSP(g), 0, -1, model, 0)
+		b := faults.Run(core.BuildSSSP(g), 0, -1, model, 0)
 		if !int64SlicesEqual(a.Res.Dist, b.Res.Dist) {
 			t.Fatalf("distances diverged for model %s", model)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/classic"
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/graph"
 )
@@ -23,7 +24,7 @@ func smallGraph() *graph.Graph {
 
 func TestZeroModelReproducesBaseline(t *testing.T) {
 	g := benchGraph()
-	run := RunSSSP(g, 0, -1, Model{Seed: 1})
+	run := Run(core.BuildSSSP(g), 0, -1, Model{Seed: 1}, 0)
 	// The committed BENCH_snn_sssp.json quantities.
 	if run.Res.Stats.Spikes != 256 || run.Res.Stats.Deliveries != 1280 || run.Res.Stats.Steps != 28 {
 		t.Fatalf("zero-model run drifted from the baseline: %+v", run.Res.Stats)
@@ -40,8 +41,8 @@ func TestZeroModelReproducesBaseline(t *testing.T) {
 func TestRunSSSPDeterministicPerSeed(t *testing.T) {
 	g := smallGraph()
 	model := Model{DropProb: 0.02, JitterProb: 0.1, JitterMax: 2, UpsetProb: 0.01, UpsetMag: 0.5, Seed: 9}
-	a := RunSSSP(g, 0, -1, model)
-	b := RunSSSP(g, 0, -1, model)
+	a := Run(core.BuildSSSP(g), 0, -1, model, 0)
+	b := Run(core.BuildSSSP(g), 0, -1, model, 0)
 	if !distEqual(a.Res.Dist, b.Res.Dist) {
 		t.Fatal("same (seed, model) produced different distances")
 	}
@@ -51,7 +52,7 @@ func TestRunSSSPDeterministicPerSeed(t *testing.T) {
 	if a.Res.Stats != b.Res.Stats {
 		t.Fatalf("same (seed, model) produced different stats: %+v vs %+v", a.Res.Stats, b.Res.Stats)
 	}
-	c := RunSSSP(g, 0, -1, model.WithSeed(10))
+	c := Run(core.BuildSSSP(g), 0, -1, model.WithSeed(10), 0)
 	if distEqual(a.Res.Dist, c.Res.Dist) && a.Counters == c.Counters {
 		t.Fatal("different seeds reproduced the identical faulted run")
 	}
@@ -62,7 +63,7 @@ func TestDropProbabilityOneIsolatesSource(t *testing.T) {
 	// the drop counter must equal the source's full fan-out (its graph
 	// out-edges plus the inhibitory self-loop).
 	g := smallGraph()
-	run := RunSSSP(g, 0, -1, Model{DropProb: 1, Seed: 4})
+	run := Run(core.BuildSSSP(g), 0, -1, Model{DropProb: 1, Seed: 4}, 0)
 	if run.Res.Stats.Spikes != 1 || run.Res.Stats.Deliveries != 0 {
 		t.Fatalf("total drop still propagated: %+v", run.Res.Stats)
 	}
@@ -78,7 +79,7 @@ func TestDropProbabilityOneIsolatesSource(t *testing.T) {
 
 func TestPinnedSilentSourceYieldsAllUnreachable(t *testing.T) {
 	g := smallGraph()
-	run := RunSSSP(g, 0, -1, Model{PinnedSilent: []int{0}, Seed: 1})
+	run := Run(core.BuildSSSP(g), 0, -1, Model{PinnedSilent: []int{0}, Seed: 1}, 0)
 	for v, d := range run.Res.Dist {
 		if d < graph.Inf {
 			t.Fatalf("vertex %d reachable (%d) despite silent source", v, d)
@@ -91,7 +92,7 @@ func TestPinnedSilentSourceYieldsAllUnreachable(t *testing.T) {
 
 func TestStuckFiringCorruptsAndIsCounted(t *testing.T) {
 	g := smallGraph()
-	run := RunSSSP(g, 0, -1, Model{StuckFireProb: 0.05, Seed: 2})
+	run := Run(core.BuildSSSP(g), 0, -1, Model{StuckFireProb: 0.05, Seed: 2}, 0)
 	if run.Counters.StuckFiring == 0 || run.Counters.SpuriousFires == 0 {
 		t.Fatalf("5%% stuck-firing drew nothing: %+v", run.Counters)
 	}
@@ -104,7 +105,7 @@ func TestNMRSingleReplicaMatchesRunSSSP(t *testing.T) {
 	g := smallGraph()
 	model := Model{DropProb: 0.02, Seed: 5}
 	nmr := NMRSSSP(g, 0, model, 1)
-	single := RunSSSP(g, 0, -1, model)
+	single := Run(core.BuildSSSP(g), 0, -1, model, 0)
 	if !distEqual(nmr.Dist, single.Res.Dist) {
 		t.Fatal("NMR k=1 is not the single run")
 	}
@@ -123,7 +124,7 @@ func TestNMRBeatsSingleRunAtOnePercentDrop(t *testing.T) {
 	singleOK, nmrOK := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		model := Model{DropProb: 0.01, Seed: DeriveSeed(1, "acceptance", trial)}
-		if distEqual(RunSSSP(g, 0, -1, model).Res.Dist, ref.Dist) {
+		if distEqual(Run(core.BuildSSSP(g), 0, -1, model, 0).Res.Dist, ref.Dist) {
 			singleOK++
 		}
 		if distEqual(NMRSSSP(g, 0, model, 3).Dist, ref.Dist) {

@@ -17,12 +17,6 @@ type RunResult struct {
 	Err error
 }
 
-// RunSSSP executes one Section 3 spiking SSSP run under model on a fresh
-// compile of g; see Run.
-func RunSSSP(g *graph.Graph, src, dst int, model Model) RunResult {
-	return Run(core.BuildSSSP(g), src, dst, model, 0)
-}
-
 // Run executes one Section 3 spiking SSSP run under model on the compiled
 // network sn, which it may share with other runs (its result equals a
 // fresh compile's). A zero model skips injector attachment entirely,
@@ -38,7 +32,7 @@ func Run(sn *core.SSSPNetwork, src, dst int, model Model, budget int64) RunResul
 		return RunResult{Res: res, Err: err}
 	}
 	inj := New(model)
-	res, err := sn.RunBudgeted(src, dst, inj, model.HorizonSlack(sn.Graph().N()), budget)
+	res, err := sn.RunBudgeted(src, dst, inj, model.HorizonSlack(sn.Neurons()), budget)
 	return RunResult{Res: res, Counters: inj.Counters, Err: err}
 }
 
@@ -87,7 +81,7 @@ func NMR(sn *core.SSSPNetwork, src int, model Model, k int) *NMRResult {
 	if k < 1 {
 		panic("faults: NMR with k < 1 replicas")
 	}
-	n := sn.Graph().N()
+	n := sn.Neurons() // relay ids equal vertex ids
 	res := &NMRResult{Dist: make([]int64, n), Replicas: k}
 	dists := make([][]int64, k)
 	for r := 0; r < k; r++ {
@@ -181,24 +175,25 @@ type SelfCheckResult struct {
 }
 
 // SSSPWithSelfCheck runs the self-checked spiking SSSP on g under model;
-// it compiles g once and checks with SelfCheck.
+// it compiles g once and checks with SelfCheck against classic Dijkstra
+// on g.
 func SSSPWithSelfCheck(g *graph.Graph, src int, model Model, maxRetries int) *SelfCheckResult {
-	return SelfCheck(core.BuildSSSP(g), src, model, maxRetries)
+	return SelfCheck(core.BuildSSSP(g), classic.Dijkstra(g, src).Dist, src, model, maxRetries)
 }
 
 // SelfCheck runs the spiking SSSP on the compiled network sn under model
-// and validates the full distance vector against classic Dijkstra on
-// sn's graph (which the check needs anyway, making the degraded fallback
-// free). On mismatch or timeout it retries on the same network with a
+// and validates the full distance vector against ref, the reference
+// distances from src (classic Dijkstra on the graph sn was compiled from,
+// which the check needs anyway, making the degraded fallback free). On
+// mismatch or timeout it retries on the same network with a
 // freshly derived seed (stream "selfcheck-retry") under exponential
 // backoff, up to maxRetries; if no attempt verifies, it returns the
 // reference distances with Degraded set — the caller gets a correct
 // answer or an explicit degraded flag, never a silent wrong one.
-func SelfCheck(sn *core.SSSPNetwork, src int, model Model, maxRetries int) *SelfCheckResult {
+func SelfCheck(sn *core.SSSPNetwork, ref []int64, src int, model Model, maxRetries int) *SelfCheckResult {
 	if maxRetries < 0 {
 		panic("faults: negative retry budget")
 	}
-	ref := classic.Dijkstra(sn.Graph(), src)
 	out := &SelfCheckResult{}
 	m := model
 	for attempt := 0; attempt <= maxRetries; attempt++ {
@@ -216,7 +211,7 @@ func SelfCheck(sn *core.SSSPNetwork, src int, model Model, maxRetries int) *Self
 			out.TimedOutRuns++
 			continue
 		}
-		if !distEqual(run.Res.Dist, ref.Dist) {
+		if !distEqual(run.Res.Dist, ref) {
 			out.MismatchCaught++
 			continue
 		}
@@ -225,7 +220,7 @@ func SelfCheck(sn *core.SSSPNetwork, src int, model Model, maxRetries int) *Self
 		return out
 	}
 	out.Degraded = true
-	out.Dist = ref.Dist
+	out.Dist = ref
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -106,10 +107,10 @@ func TestNetworkFormsMatchGraphForms(t *testing.T) {
 		if got, want := faults.NMR(sn, 0, model, 3), faults.NMRSSSP(g, 0, model, 3); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: NMR on a shared network %+v, fresh %+v", i, got, want)
 		}
-		if got, want := faults.SelfCheck(sn, 0, model, 3), faults.SSSPWithSelfCheck(g, 0, model, 3); !reflect.DeepEqual(got, want) {
+		if got, want := faults.SelfCheck(sn, classic.Dijkstra(g, 0).Dist, 0, model, 3), faults.SSSPWithSelfCheck(g, 0, model, 3); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: SelfCheck on a shared network %+v, fresh %+v", i, got, want)
 		}
-		if got, want := faults.Run(sn, 7, 30, model, 0), faults.RunSSSP(g, 7, 30, model); !reflect.DeepEqual(got, want) {
+		if got, want := faults.Run(sn, 7, 30, model, 0), faults.Run(core.BuildSSSP(g), 7, 30, model, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: Run on a shared network %+v, fresh %+v", i, got, want)
 		}
 	}

@@ -138,7 +138,7 @@ func measurePoint(cfg SweepConfig, sn *core.SSSPNetwork, refDist []int64, rateIn
 		p.NMRDisagreeing += len(nmr.Disagreeing)
 
 		// (c) Self-check: verified result or explicit degraded mode.
-		sc := SelfCheck(sn, cfg.Src, model, cfg.Retries)
+		sc := SelfCheck(sn, refDist, cfg.Src, model, cfg.Retries)
 		p.SelfCheckCaught += sc.MismatchCaught + sc.TimedOutRuns
 		p.Retries += int64(sc.Attempts - 1)
 		p.BackoffUnits += sc.BackoffUnits

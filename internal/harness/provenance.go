@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/snn"
 	"repro/internal/telemetry"
@@ -80,7 +81,7 @@ func RecordSSSPInjected(g *graph.Graph, src, dst int, tool, command string, inj 
 	if inj != nil {
 		net.SetInjector(inj) // after netlist capture: the log stays pristine
 	}
-	horizon := int64(n)*maxInt64(g.MaxLen(), 1) + 1
+	horizon := core.RelayHorizon(n, g.MaxLen())
 	net.Run(horizon)
 
 	out := &RecordedSSSP{

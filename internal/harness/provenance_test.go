@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -43,6 +44,44 @@ func TestRecordSSSPMatchesCore(t *testing.T) {
 // FirstCause latch upward) is exactly its shortest path, so the chain's
 // link count equals the path's hop count — and the whole log replays
 // with zero divergence.
+// TestWideHorizon: edge lengths near 2^60 overflow n·max(U,1)+1, the
+// horizon RecordSSSP and the raster used to compute themselves. The run
+// then stopped at a negative horizon and recorded no spike past the
+// source, so `spaabench why -n 16 -m 40 -u 1152921504606846976 -seed 1
+// -dst 5` failed with "neuron 5 never fired". With core's saturating
+// horizon RecordSSSP gives core.SSSP's distances, and the raster refuses
+// an L too wide to print instead of allocating a row of L columns.
+func TestWideHorizon(t *testing.T) {
+	g := graph.RandomGnm(16, 40, graph.Uniform(1<<60), 1, true)
+	rec, err := RecordSSSP(g, 0, 5, "test", "why")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.SSSP(g, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dist[5] != want.Dist[5] || rec.Dist[5] >= graph.Inf {
+		t.Fatalf("recorded dist[5]=%d, core says %d", rec.Dist[5], want.Dist[5])
+	}
+	all, err := RecordSSSP(g, 0, -1, "test", "why")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range all.Dist {
+		if all.Dist[v] != want.Dist[v] || all.Pred[v] != want.Pred[v] {
+			t.Fatalf("recorded dist[%d]=%d pred %d, core says %d pred %d",
+				v, all.Dist[v], all.Pred[v], want.Dist[v], want.Pred[v])
+		}
+	}
+	if _, err := SSSPRaster(g, 0); err == nil || !strings.Contains(err.Error(), "too wide to print") {
+		t.Fatalf("SSSPRaster on L=%d: %v, want a too-wide error", want.SpikeTime, err)
+	}
+	if _, _, err := SSSPTimeline(g, 0); err == nil || !strings.Contains(err.Error(), "too wide to print") {
+		t.Fatalf("SSSPTimeline on L=%d: %v, want a too-wide error", want.SpikeTime, err)
+	}
+}
+
 func TestRecordSSSPCausalDepthEqualsHops(t *testing.T) {
 	g := graph.RandomGnm(96, 384, graph.Uniform(9), 5, true)
 	rec, err := RecordSSSP(g, 0, -1, "test", "why")

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/perf"
@@ -43,25 +41,11 @@ type SoakConfig struct {
 	Submit func(*telemetry.Manifest) error
 	// Deterministic finalizes manifests without wall-clock fields.
 	Deterministic bool
-	// Fault, when non-zero, turns the campaign into a chaos soak: every
-	// engine run (sssp, fleet) executes under a deterministic
-	// faults.Injector seeded per run (stream "soak-fault"), so the whole
-	// faulted campaign replays byte-for-byte from Seed.
-	Fault faults.Model
-	// Budget caps each engine run's simulated horizon (deadline
-	// propagation, core.SSSPBudgeted). A run cut off by the budget is
-	// counted in SoakReport.TimedOut — degraded, not failed — and the
-	// campaign continues. 0 means unlimited.
-	Budget int64
 }
 
 // SoakReport aggregates a finished campaign.
 type SoakReport struct {
 	Runs, Errors int64
-	// TimedOut counts runs whose engine half was cut off by the
-	// per-run Budget (core.ErrTimedOut): served degraded, not failed —
-	// they still complete, submit their manifest, and count in Runs.
-	TimedOut int64
 	// Spikes, Deliveries, Steps, MaxQueueDepth and SilentStepsSkipped
 	// sum (respectively high-water) the simulator stats of every run
 	// that carried an SNN half — by construction equal to the sum over
@@ -175,23 +159,12 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 				man, stats, err := soakRun(workload, runSeed, cfg)
 				mu.Lock()
 				if err != nil {
-					// A deadline-cut engine run is degraded, not a
-					// campaign failure: count it and keep folding the
-					// manifest it still produced.
-					if errors.Is(err, core.ErrTimedOut) {
-						rep.TimedOut++
-					} else {
-						rep.Errors++
-						if rep.FirstError == nil {
-							rep.FirstError = fmt.Errorf("%s worker %d iter %d: %w", workload, worker, i, err)
-						}
-						mu.Unlock()
-						continue
+					rep.Errors++
+					if rep.FirstError == nil {
+						rep.FirstError = fmt.Errorf("%s worker %d iter %d: %w", workload, worker, i, err)
 					}
-					if man == nil {
-						mu.Unlock()
-						continue
-					}
+					mu.Unlock()
+					continue
 				}
 				rep.Runs++
 				rep.PerWorkload[workload]++
@@ -248,17 +221,15 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 
 	tracker.Phase("build")
 	var stats *snn.Stats
-	var timedOut bool
 	switch workload {
 	case "sssp":
 		g := graph.RandomGnm(96, 384, graph.Uniform(8), runSeed, true)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "random"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, rec)
+		r, err := core.SSSP(g, 0, -1, rec)
 		if err != nil {
 			return nil, nil, err
 		}
-		timedOut = r.TimedOut
 		stats = &r.Stats
 		classicOps = classic.Dijkstra(g, 0).Ops
 		rec.Add("neurons", int64(r.Neurons))
@@ -272,11 +243,10 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		g := graph.Grid(8, 8, graph.Unit, runSeed)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "grid"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, rec)
+		r, err := core.SSSP(g, 0, -1, rec)
 		if err != nil {
 			return nil, nil, err
 		}
-		timedOut = r.TimedOut
 		stats = &r.Stats
 		classicOps = classic.Dijkstra(g, 0).Ops
 		asn := fleet.PartitionBFS(g, 16)
@@ -311,27 +281,5 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 			return nil, nil, err
 		}
 	}
-	if timedOut {
-		// The run completed degraded: return the finished manifest AND
-		// the sentinel, so the campaign can count it without aborting.
-		return man, stats, fmt.Errorf("harness: soak %s run cut off by budget %d: %w",
-			workload, cfg.Budget, core.ErrTimedOut)
-	}
 	return man, stats, nil
-}
-
-// soakEngineSSSP is the engine half of the sssp and fleet soak
-// workloads: the Section 3 spiking run under the campaign's optional
-// fault model and deadline budget. With a zero model and no budget it is
-// exactly core.SSSP — the pristine path, byte-for-byte.
-func soakEngineSSSP(g *graph.Graph, runSeed int64, cfg SoakConfig, probe snn.StepProbe) (*core.SSSPResult, error) {
-	var inj snn.Injector
-	var slack int64
-	if !cfg.Fault.Zero() {
-		fm := cfg.Fault.WithSeed(faults.DeriveSeed(cfg.Fault.Seed^runSeed, "soak-fault", 0))
-		finj := faults.New(fm)
-		inj = finj
-		slack = fm.HorizonSlack(g.N())
-	}
-	return core.SSSPBudgeted(g, 0, -1, inj, slack, cfg.Budget, probe)
 }

@@ -13,11 +13,15 @@ import (
 // per-step telemetry sparklines (spikes, deliveries, queue depth) on the
 // same time axis, plus the engine's cost summary — the `spaabench
 // timeline` view. Returns the rendering and the recorder holding the
-// run's series (for -metrics / -trace alongside the render).
-func SSSPTimeline(g *graph.Graph, src int) (string, *telemetry.Recorder) {
+// run's series (for -metrics / -trace alongside the render); it fails
+// when the last spike time is above 2^16 steps, too wide to print.
+func SSSPTimeline(g *graph.Graph, src int) (string, *telemetry.Recorder, error) {
 	rec := telemetry.NewRecorder()
 	net, relays := runWavefront(g, src, rec)
-	ids, labels, last := wavefrontRows(net, relays)
+	ids, labels, last, err := wavefrontRows(net, relays)
+	if err != nil {
+		return "", nil, err
+	}
 
 	// Pad row labels and metric names to a common width so the sparkline
 	// columns line up under the raster columns.
@@ -59,7 +63,7 @@ func SSSPTimeline(g *graph.Graph, src int) (string, *telemetry.Recorder) {
 		dense := telemetry.Timeline(s, 0, last)
 		fmt.Fprintf(&b, "%-*s %s\n", width, m.label, telemetry.Sparkline(dense))
 	}
-	return b.String(), rec
+	return b.String(), rec, nil
 }
 
 // EngineReport summarizes a run's simulator cost counters including the

@@ -3,6 +3,7 @@ package service
 import (
 	"strconv"
 
+	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -29,13 +30,17 @@ import (
 // resp.CostUnits; a budget of 0 is unlimited. Each rung attempted opens
 // a StageRung span on qt (nil = untraced), with build/run/retry
 // sub-spans; run spans carry the rung's engine totals, read from its
-// snn.Stats after the run.
+// snn.Stats after the run. Every sssp engine rung runs the one relay
+// netlist the query borrows from the pool.
 func (s *Service) ladder(q Query, qg *queryGraph, resp *Response, qt *trace.Active) {
 	if q.Workload == "khop" {
 		s.ladderKHop(q, qg.get(), resp, qt)
 		return
 	}
-	s.ladderSSSP(q, qg, resp, qt)
+	ln := &loan{pool: s.pool, key: keyOf(q)}
+	defer ln.settle()
+	s.ladderSSSP(q, qg, ln, resp, qt)
+	ln.done = true
 }
 
 // remainingBudget tracks the query's deadline. budget 0 means unlimited.
@@ -73,7 +78,7 @@ func (r *remainingBudget) cap() int64 {
 	return r.left
 }
 
-func (s *Service) ladderSSSP(q Query, qg *queryGraph, resp *Response, qt *trace.Active) {
+func (s *Service) ladderSSSP(q Query, qg *queryGraph, ln *loan, resp *Response, qt *trace.Active) {
 	rem := newRemaining(q.Budget)
 	if s.cfg.Model.Zero() {
 		// Rung 1: exact. The budget caps the simulation horizon, so a
@@ -89,33 +94,19 @@ func (s *Service) ladderSSSP(q Query, qg *queryGraph, resp *Response, qt *trace.
 			tk = perf.NewTracker()
 			tk.SetSpanSink(qt)
 		}
-		key := keyOf(q)
-		sn, hit := s.pool.take(key)
-		returned := false
-		defer func() {
-			if !returned {
-				s.pool.drop()
-			}
-		}()
-		if hit {
+		if ln.take() {
 			qt.End(qt.BeginUnder(rref, trace.StageBuild, "cache hit"), 0)
 		} else {
 			bref := qt.BeginUnder(rref, trace.StageBuild, "sssp compile")
 			tk.Phase(trace.StageBuild)
 			g := qg.get()
-			if sn == nil {
-				sn = core.BuildSSSP(g)
-			} else {
-				sn.Recompile(g)
-			}
+			ln.compile(g)
 			qt.End(bref, int64(g.M()+g.N())) // synapse-programming events: the O(m+n) load model
 		}
 		eref := qt.BeginUnder(rref, trace.StageRun, "wavefront")
 		tk.Phase(trace.StageRun)
-		res, _ := sn.RunBudgeted(q.Src, -1, nil, 0, rem.cap())
+		res, _ := ln.sn.RunBudgeted(q.Src, -1, nil, 0, rem.cap())
 		tk.Stop()
-		s.pool.put(key, sn)
-		returned = true
 		qt.EndEngine(eref, res.SpikeTime, res.Stats.Steps, res.Stats.Spikes, res.Stats.Deliveries)
 		if !res.TimedOut {
 			resp.Mode = ModeExact
@@ -135,18 +126,11 @@ func (s *Service) ladderSSSP(q Query, qg *queryGraph, resp *Response, qt *trace.
 
 	g := qg.get()
 	model := s.cfg.Model.WithSeed(s.querySeed(q))
-	// The fault rungs compile the graph once, on first use, and re-run
-	// that one network for every NMR replica, retry and self-check attempt.
-	var sn *core.SSSPNetwork
-	compiled := func() *core.SSSPNetwork {
-		if sn == nil {
-			sn = core.BuildSSSP(g)
-		}
-		return sn
-	}
 	// Rung 2: NMR voting, retried while the vote is inconclusive. A
 	// full-horizon voting round costs at least one pristine wavefront, so
-	// skip the rung when the remaining budget cannot cover even that.
+	// skip the rung when the remaining budget cannot cover even that. The
+	// fault rungs borrow the netlist on first use, without a build span,
+	// and re-run it for every NMR replica, retry and self-check attempt.
 	minRound := minEngineCost(g)
 	begun := false
 	var rref trace.SpanRef
@@ -169,7 +153,7 @@ func (s *Service) ladderSSSP(q Query, qg *queryGraph, resp *Response, qt *trace.
 			qt.End(aref, backoff)
 		}
 		eref := qt.BeginUnder(rref, trace.StageRun, "nmr vote")
-		vote := faults.NMR(compiled(), q.Src, m, s.cfg.NMRReplicas)
+		vote := faults.NMR(ln.netlist(qg), q.Src, m, s.cfg.NMRReplicas)
 		qt.EndEngine(eref, vote.SpikeTime, vote.Steps, vote.Spikes, vote.Deliveries)
 		resp.CostUnits += rem.charge(vote.SpikeTime)
 		if vote.TimedOut > 0 {
@@ -193,7 +177,7 @@ func (s *Service) ladderSSSP(q Query, qg *queryGraph, resp *Response, qt *trace.
 	if !rem.limited || rem.left >= minRound {
 		cref := qt.Begin(trace.StageRung, ModeSelfCheck)
 		eref := qt.BeginUnder(cref, trace.StageRun, "selfcheck")
-		check := faults.SelfCheck(compiled(), q.Src, model.WithSeed(
+		check := faults.SelfCheck(ln.netlist(qg), classic.Dijkstra(g, q.Src).Dist, q.Src, model.WithSeed(
 			faults.DeriveSeed(model.Seed, "service-selfcheck", 0)), s.cfg.MaxRetries)
 		qt.EndEngine(eref, check.SpikeTime, check.Steps, check.Spikes, check.Deliveries)
 		if check.Attempts > 1 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -175,4 +176,89 @@ func TestPoolHitAllocs(t *testing.T) {
 		t.Fatalf("a repeated exact query allocated %d B; a parked netlist's run allocates %d B and one netlist is %d B", hit, run, netlist)
 	}
 	t.Logf("hit %d B, parked run %d B, netlist %d B", hit, run, netlist)
+}
+
+// faultLadderWant replays the fault rungs of s's ladder for q on fresh
+// compiles of q's graph, under the seeds the ladder derives and with no
+// deadline: the NMR votes while they are inconclusive, then the
+// self-check. It returns the mode and distances the ladder must serve.
+func faultLadderWant(s *Service, q Query) (string, []int64) {
+	g := buildGraph(q)
+	model := s.cfg.Model.WithSeed(s.querySeed(q))
+	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
+		m := model
+		if attempt > 0 {
+			m = model.WithSeed(faults.DeriveSeed(model.Seed, "service-nmr-retry", attempt))
+		}
+		if vote := faults.NMRSSSP(g, q.Src, m, s.cfg.NMRReplicas); len(vote.NoMajority) == 0 && vote.TimedOut == 0 {
+			return ModeNMR, vote.Dist
+		}
+	}
+	check := faults.SSSPWithSelfCheck(g, q.Src, model.WithSeed(
+		faults.DeriveSeed(model.Seed, "service-selfcheck", 0)), s.cfg.MaxRetries)
+	if check.Degraded {
+		return ModeClassic, check.Dist
+	}
+	return ModeSelfCheck, check.Dist
+}
+
+// TestPoolFaultRungs: under a fault model the NMR and self-check rungs
+// run pooled netlists too. Four callers share two workers over three
+// graphs and four sources each, so the fault rungs run netlists that a
+// query on another source parked (holding no graph) and recompile
+// returned ones. Every answer equals the same rungs on a fresh compile
+// under the same seeds, every guaranteed answer equals the reference,
+// and the pool never holds more netlists than there are workers.
+func TestPoolFaultRungs(t *testing.T) {
+	s := New(metrics.NewRegistry(), Config{
+		Workers: 2, Clock: NewWallClock(), MaxRetries: 1, BreakerThreshold: 1 << 30, Seed: 3,
+		Model: faults.Model{DropProb: 0.02, JitterProb: 0.05, JitterMax: 2, Seed: 11},
+	})
+	var qs []Query
+	var mode []string
+	var want, ref [][]int64
+	modes := map[string]int{}
+	for g := int64(0); g < 3; g++ {
+		for src := 0; src < 4; src++ {
+			q := Query{Workload: "sssp", N: 96, M: 384, U: 8, GraphSeed: 40 + g, Src: src * 7}
+			m, d := faultLadderWant(s, q)
+			qs, mode, want, ref = append(qs, q), append(mode, m), append(want, d), append(ref, Reference(q))
+			modes[m]++
+		}
+	}
+	if modes[ModeNMR] == 0 || modes[ModeSelfCheck]+modes[ModeClassic] == 0 {
+		t.Fatalf("served modes %v: the campaign must reach both fault rungs", modes)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range qs {
+					i := (k*(2*c+1) + c) % len(qs)
+					resp := s.Do(qs[i])
+					switch {
+					case resp.Mode != mode[i] || !distEqual(resp.Dist, want[i]):
+						errs <- fmt.Errorf("caller %d query %+v: mode %s, want %s on a fresh compile; distances equal: %v",
+							c, qs[i], resp.Mode, mode[i], distEqual(resp.Dist, want[i]))
+						return
+					case Guaranteed(resp.Mode) && !distEqual(resp.Dist, ref[i]):
+						errs <- fmt.Errorf("caller %d query %+v: %s answer differs from the reference", c, qs[i], resp.Mode)
+						return
+					}
+					if n := poolSize(s); n > 2 {
+						errs <- fmt.Errorf("pool holds %d netlists with 2 workers", n)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

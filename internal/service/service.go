@@ -7,14 +7,15 @@
 // degradation ladder that composes the fault-tolerance primitives —
 // exact spiking run → faults.NMR voting → faults.SelfCheck → classic
 // reference → core.ApproxKHop-style truncated answer — tagging every
-// response with the rung that served it. The exact rung takes its relay
-// netlist from a pool of at most Workers compiled networks keyed by the
-// query's graph (pool.go): a query on a pooled graph neither generates
-// nor compiles it, and a miss recompiles the least recently returned
-// netlist in place. The fault rungs compile the query's graph once, on
-// first use, and re-run that network for every NMR replica, vote retry
-// and self-check attempt. Only the rungs that read the graph itself
-// generate it: the classic bypass, the approx rung, the fault rungs and
+// response with the rung that served it. Every sssp engine rung runs
+// the one relay netlist the query borrows from a pool of at most Workers
+// compiled networks keyed by the query's graph (pool.go): a query on a
+// pooled graph never compiles it, and a miss recompiles the least
+// recently returned netlist in place. The exact rung runs it once; the
+// fault rungs borrow it on first use and re-run it for every NMR
+// replica, vote retry and self-check attempt. Only the rungs that read
+// the graph itself generate it: the classic bypass, the approx rung, the
+// fault rungs (their budget gate and the self-check reference) and
 // k-hop. Every admission, shed, retry, breaker transition and
 // degradation is exported through the spaa_service_* metric families,
 // and every timing decision flows through a Clock, so a LogicalClock
@@ -98,8 +99,8 @@ type Config struct {
 	QuotaTokens      int64
 	QuotaRefillMilli int64
 	// Budget is the default per-query deadline in simulated steps,
-	// threaded to core.SSSPBudgeted (0 = unlimited). Query.Budget
-	// overrides it per query.
+	// threaded to core.SSSPNetwork.RunBudgeted (0 = unlimited).
+	// Query.Budget overrides it per query.
 	Budget int64
 	// Model is the fault model engine runs execute under; Seed anchors
 	// the per-query seed derivation (faults.DeriveSeed streams).
@@ -193,7 +194,7 @@ type Service struct {
 
 	slots   chan struct{}
 	waiting atomic.Int64
-	pool    *netPool // the exact rung's compiled netlists
+	pool    *netPool // the engine rungs' compiled netlists
 
 	mu       sync.Mutex
 	breakers map[string]*Breaker // guarded by mu

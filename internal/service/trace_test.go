@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -152,8 +153,8 @@ func TestChaosTraceCoverage(t *testing.T) {
 // TestRunSpanTotalsMatchEngineStats: a run span's steps, spikes and
 // deliveries are the snn.Stats of the engine runs it covers — the exact
 // rung's single run, every replica of an NMR vote, every self-check
-// attempt — rebuilt here from independent faults.RunSSSP calls under
-// the seeds the ladder derives.
+// attempt — rebuilt here from independent faults.Run calls on fresh
+// compiles under the seeds the ladder derives.
 func TestRunSpanTotalsMatchEngineStats(t *testing.T) {
 	type totals struct{ steps, spikes, deliveries int64 }
 	add := func(sum *totals, r faults.RunResult) {
@@ -193,7 +194,7 @@ func TestRunSpanTotalsMatchEngineStats(t *testing.T) {
 			t.Fatalf("exact query run spans = %+v, want one wavefront", spans)
 		}
 		var want totals
-		add(&want, faults.RunSSSP(buildGraph(q), q.Src, -1, faults.Model{}))
+		add(&want, faults.Run(core.BuildSSSP(buildGraph(q)), q.Src, -1, faults.Model{}, 0))
 		check(t, spans[0], want)
 	})
 
@@ -219,7 +220,7 @@ func TestRunSpanTotalsMatchEngineStats(t *testing.T) {
 					if r > 0 {
 						seed = faults.DeriveSeed(m.Seed, "nmr-replica", r)
 					}
-					add(&want, faults.RunSSSP(g, q.Src, -1, m.WithSeed(seed)))
+					add(&want, faults.Run(core.BuildSSSP(g), q.Src, -1, m.WithSeed(seed), 0))
 				}
 			case "selfcheck":
 				checkSeen++
@@ -233,7 +234,7 @@ func TestRunSpanTotalsMatchEngineStats(t *testing.T) {
 					if a > 0 {
 						ma = m.WithSeed(faults.DeriveSeed(m.Seed, "selfcheck-retry", a))
 					}
-					add(&want, faults.RunSSSP(g, q.Src, -1, ma))
+					add(&want, faults.Run(core.BuildSSSP(g), q.Src, -1, ma, 0))
 				}
 			default:
 				t.Fatalf("unexpected run span %q under faults", sp.Detail)

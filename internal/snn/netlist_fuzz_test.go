@@ -39,6 +39,12 @@ func FuzzNetlistRoundTrip(f *testing.F) {
 		"1 0 1 2305843009213693951\ninduced 1\n5 0\nterminals 0 any\n"))
 	f.Add([]byte("snn v1 gte 1\nneurons 2\n0 1 1\n0 1 1\nsynapses 1\n0 1 1 9223372036854775806\n" +
 		"induced 1\n5 0\nterminals 1 any\n1\n"))
+	// Induced spikes at MaxInduceTime (accepted) and one step later
+	// (rejected as induced-time: t+d would overflow).
+	f.Add([]byte("snn v1 gte 0\nneurons 2\n0 1 1\n0 1 1\nsynapses 1\n0 1 1 2305843009213693951\n" +
+		"induced 1\n6917529027641081856 0\nterminals 1 any\n1\n"))
+	f.Add([]byte("snn v1 gte 0\nneurons 2\n0 1 1\n0 1 1\nsynapses 1\n0 1 1 100\n" +
+		"induced 1\n6917529027641081857 0\nterminals 1 any\n1\n"))
 	f.Add([]byte("snn v1 gte 0\nneurons 2\n0 1 1\n0 NaN 2\nsynapses 1\n5 -1 Inf -9\ninduced 1\n-1 7\nterminals 1 any\n3\n"))
 	f.Add([]byte("# comment\n\nsnn v2 bogus\n"))
 	f.Add([]byte(""))

@@ -136,6 +136,12 @@ type synapse struct {
 // panic on a longer delay, and Validate reports one as delay-max.
 const MaxDelay = 1<<61 - 1
 
+// MaxInduceTime is the latest time InduceSpike accepts, math.MaxInt64 -
+// MaxDelay, so an induced spike schedules its deliveries through any
+// synapse without overflowing time. InduceSpike panics on a later time,
+// and Validate reports one as induced-time.
+const MaxInduceTime = math.MaxInt64 - MaxDelay
+
 // longBase is the least delay kept in the Network.long side table: the
 // graph.Inf drops of a crossbar and huge netlist delays. The reference
 // rides in the synapse, so compaction moves it with the row, and a
@@ -563,7 +569,7 @@ func (n *Network) compact() {
 func (n *Network) fanout(i int32) []synapse { return n.syn[n.off[i]:n.off[i+1]] }
 
 // InduceSpike forces neuron i to fire at time t >= current time, at a
-// step Run has not processed yet. This is the input mechanism of
+// step Run has not processed yet and no later than MaxInduceTime. This is the input mechanism of
 // Definition 3 (computation is initiated by inducing spikes in input
 // neurons) and also encodes multi-bit spike messages as trains.
 func (n *Network) InduceSpike(i int, t int64) {
@@ -575,6 +581,9 @@ func (n *Network) InduceSpike(i int, t int64) {
 	}
 	if t <= n.lastStep {
 		panic(fmt.Sprintf("snn: induce at time %d, a step already processed", t))
+	}
+	if t > MaxInduceTime {
+		panic(fmt.Sprintf("snn: induce at time %d > latest induce time %d", t, int64(MaxInduceTime)))
 	}
 	id := n.bucketID(t)
 	for int(id) >= len(n.forced) {

@@ -184,6 +184,10 @@ func validateSpec(s *netSpec) []Violation {
 			bad("induced-time", k, "induced spike %d scheduled at negative time %d", k, in.Time)
 			continue
 		}
+		if in.Time > MaxInduceTime {
+			bad("induced-time", k, "induced spike %d scheduled at time %d after the latest induce time %d", k, in.Time, int64(MaxInduceTime))
+			continue
+		}
 		inducedAt[in.Neuron] = true
 	}
 

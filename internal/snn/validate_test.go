@@ -245,3 +245,53 @@ func TestDelayMax(t *testing.T) {
 		t.Fatalf("ReadNetlist with delay MaxDelay: %v", err)
 	}
 }
+
+// TestInduceTimeMax: a spike induced after MaxInduceTime overflows its
+// delivery time. With no bound, a->b with delay 100, InduceSpike(a,
+// math.MaxInt64-10) and Run(math.MaxInt64) went quiescent with Now and
+// b's first spike at -9223372036854775719. Now InduceSpike refuses such a
+// time, Validate reports it as induced-time, ReadNetlist rejects a
+// netlist that carries it, and MaxInduceTime itself still runs through a
+// MaxDelay synapse to math.MaxInt64.
+func TestInduceTimeMax(t *testing.T) {
+	net := NewNetwork(Config{Record: true})
+	a, b := net.AddNeuron(Gate(1)), net.AddNeuron(Gate(1))
+	net.Connect(a, b, 1, 100)
+	for _, at := range []int64{math.MaxInt64 - 10, MaxInduceTime + 1} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "latest induce time") {
+					t.Fatalf("InduceSpike(a, %d): panic %v, want the latest-induce-time message", at, r)
+				}
+			}()
+			net.InduceSpike(a, at)
+		}()
+	}
+	if res := net.Run(math.MaxInt64); !res.Quiescent || res.Stats.Steps != 0 || len(net.Spikes(b)) != 0 {
+		t.Fatalf("a refused InduceSpike left work behind: %+v, b fired %v", res, net.Spikes(b))
+	}
+
+	far := NewNetwork(Config{Record: true})
+	a, b = far.AddNeuron(Gate(1)), far.AddNeuron(Gate(1))
+	far.Connect(a, b, 1, MaxDelay)
+	far.InduceSpike(a, MaxInduceTime)
+	if res := far.Run(math.MaxInt64); !res.Quiescent || res.Now != math.MaxInt64 || res.Stats.Steps != 2 ||
+		!slices.Equal(far.Spikes(b), []int64{math.MaxInt64}) {
+		t.Fatalf("MaxInduceTime run: %+v, b fired %v; want quiescent at math.MaxInt64 after 2 steps", res, far.Spikes(b))
+	}
+
+	induced := func(at string) string {
+		return "snn v1 gte 0\nneurons 2\n0 1 1\n0 1 1\nsynapses 1\n0 1 1 100\ninduced 1\n" + at + " 0\nterminals 0 any\n"
+	}
+	for _, at := range []string{"9223372036854775797", "6917529027641081857"} {
+		if _, err := ReadNetlist(strings.NewReader(induced(at))); err == nil || !strings.Contains(err.Error(), "latest induce time") {
+			t.Fatalf("ReadNetlist with an induced spike at %s: %v, want a latest-induce-time error", at, err)
+		}
+		if _, vs, err := LintNetlist(strings.NewReader(induced(at))); err != nil || kinds(vs)["induced-time"] != 1 {
+			t.Fatalf("LintNetlist with an induced spike at %s: %v %v, want one induced-time", at, vs, err)
+		}
+	}
+	if _, err := ReadNetlist(strings.NewReader(induced("6917529027641081856"))); err != nil {
+		t.Fatalf("ReadNetlist with an induced spike at MaxInduceTime: %v", err)
+	}
+}

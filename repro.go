@@ -140,8 +140,9 @@ type SSSPResult = core.SSSPResult
 // LIF simulator: synapse delays encode edge lengths and first-spike times
 // are exactly the distances. dst >= 0 installs a terminal neuron that
 // halts the run; dst = -1 computes all distances. Edge lengths must be
-// >= 1. Fault-free runs cannot time out, so the wrapper swallows the
-// impossible error; use core.SSSPInjected directly for fault campaigns.
+// >= 1. Fault-free runs cannot time out, so the wrapper panics on the
+// impossible error; fault campaigns run a core.BuildSSSP netlist through
+// faults.Run instead.
 func SpikingSSSP(g *Graph, src, dst int) *SSSPResult {
 	r, err := core.SSSP(g, src, dst)
 	if err != nil {

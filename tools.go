@@ -103,8 +103,9 @@ func SpikingSSSPWithFaults(g *Graph, src int, dropProb float64, seed int64) (*SS
 }
 
 // SSSPRasterString renders the spiking SSSP wavefront as an ASCII spike
-// raster (rows ordered by distance).
-func SSSPRasterString(g *Graph, src int) string { return harness.SSSPRaster(g, src) }
+// raster (rows ordered by distance). It fails when the last spike time
+// is above 2^16 steps, too wide to print.
+func SSSPRasterString(g *Graph, src int) (string, error) { return harness.SSSPRaster(g, src) }
 
 // --- Crossbar ordering (the §4.4 "better embeddings" remark) ---
 

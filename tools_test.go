@@ -97,8 +97,8 @@ func TestFacadeFaults(t *testing.T) {
 
 func TestFacadeRaster(t *testing.T) {
 	g := PathGraph(4, Unit, 0)
-	out := SSSPRasterString(g, 0)
-	if !strings.Contains(out, "wavefront") || !strings.Contains(out, "|") {
+	out, err := SSSPRasterString(g, 0)
+	if err != nil || !strings.Contains(out, "wavefront") || !strings.Contains(out, "|") {
 		t.Fatalf("raster:\n%s", out)
 	}
 }
